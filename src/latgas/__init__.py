@@ -53,7 +53,6 @@ from .solver import (
     check_degenerate_branch,
     classify_branch,
     default_seeds,
-    el_fixed_point,
     solve_entropy,
     solve_multipliers,
     solve_result_to_dict,

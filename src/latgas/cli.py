@@ -6,7 +6,7 @@ flags override file values.  Every command writes deterministic CSV records
 only place a timestamp appears.
 
 Exit codes: 0 success, 1 internal error, 2 infeasible/unconverged, 3 config
-error.
+error (a bad config file, or input the library rejects with ValueError).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -105,6 +104,14 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
+def _read_profile(path: str) -> functional.OccupancyProfile:
+    """Read a cell_center,value CSV; one that does not parse is an internal error."""
+    try:
+        return functional.profile_from_csv(Path(path).read_text())
+    except ValueError as exc:
+        raise RuntimeError(f"unreadable profile CSV {path}: {exc}") from exc
+
+
 def _json_record(payload: dict) -> str:
     record = {"schema_version": SCHEMA_VERSION}
     record.update(_sanitize(payload))
@@ -138,7 +145,7 @@ def _solver_tolerances(sections) -> dict:
     """Optional [solver] tolerance overrides, validated positive."""
     block = sections.get("solver", {})
     out = {}
-    for key, kw in (("constraint_tol", "constraint_tol"), ("el_tol", "inner_tol"),
+    for key, kw in (("constraint_tol", "constraint_tol"), ("el_tol", "tol"),
                     ("noise_floor", "noise_floor")):
         if key in block:
             try:
@@ -157,9 +164,7 @@ def cmd_solve(args) -> int:
     m = _get(sections, "solver", "grid", int, default=solver.DEFAULT_GRID, flag=args.grid)
     xi_t = _get(sections, "window", "xi", float, flag=args.xi)
     rho = _get(sections, "window", "rho", float, flag=args.rho)
-    workers = args.workers or os.cpu_count()
-    result = solver.solve_entropy(pot, xi_t, rho, m=m, workers=workers,
-                                  **_solver_tolerances(sections))
+    result = solver.solve_entropy(pot, xi_t, rho, m=m, **_solver_tolerances(sections))
     out = _out_dir(args)
     _write(out / "solve_result.json", _json_record(solver.solve_result_to_dict(result)))
     _write(out / "profile.csv", functional.profile_to_csv(result.profile))
@@ -178,10 +183,8 @@ def cmd_scan(args) -> int:
     deltas = [float(tok) for tok in str(raw).split(",") if tok.strip()]
     if not deltas:
         raise ConfigError("scan needs a nonempty comma-separated delta list")
-    workers = args.workers or os.cpu_count()
     try:
-        scan = transition.scan_transition(pot, rho, deltas, m=m, workers=workers,
-                                          **_solver_tolerances(sections))
+        scan = transition.scan_transition(pot, rho, deltas, m=m, **_solver_tolerances(sections))
     except ValueError as exc:
         raise InfeasibleError(str(exc)) from exc
     out = _out_dir(args)
@@ -210,7 +213,7 @@ def cmd_sample(args) -> int:
     seed = args.seed if args.seed is not None else int(sections.get("run", {}).get("seed", 1))
     init = None
     if args.init_profile:
-        init = functional.profile_from_csv(Path(args.init_profile).read_text())
+        init = _read_profile(args.init_profile)
     try:
         stats = ensemble.mcmc_sample(n, pot, window, steps, chains, seed, init=init)
     except (RuntimeError, ValueError) as exc:
@@ -255,7 +258,7 @@ def cmd_eval(args) -> int:
     pot = _potential_from(sections)
     if not args.profile:
         raise ConfigError("eval needs --profile pointing at a cell_center,value CSV")
-    prof = functional.profile_from_csv(Path(args.profile).read_text())
+    prof = _read_profile(args.profile)
     K = potential.cell_kernel(pot, prof.m)
     h = functional.entropy_H(prof)
     x = functional.xi(prof, K)
@@ -277,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="key=value config file with [section] headers")
         p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--workers", type=int, help="worker count for parallel stages")
-        p.add_argument("--seed", type=int, help="64-bit RNG seed")
         p.add_argument("--grid", type=int, help="profile grid size m")
 
     p = sub.add_parser("lambda", help="print the integrated interaction")
@@ -306,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int)
     p.add_argument("--chains", type=int)
     p.add_argument("--init-profile", help="CSV profile used to seed the chains")
+    p.add_argument("--seed", type=int, help="64-bit RNG seed")
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("enumerate", help="exact window enumeration on a small lattice")
@@ -334,7 +336,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and the library's input checks
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibleError as exc:

@@ -2,24 +2,20 @@
 
 Maximizes -H(f) subject to xi(f) = xi and N(f) = rho on the periodic unit
 interval.  Interior optimizers satisfy the logistic fixed-point relation
-f = expit(mu + beta * Kf / m), so the solver nests a damped fixed-point
-iteration inside a two-dimensional quasi-Newton root solve on the
-multipliers (beta, mu).  When that outer solve stalls, a penalized
-quasi-Newton descent (penalty continuation 1e2 -> 1e6) re-seeds a Newton
-polish of the full stationarity system, which restores the tight constraint
-and fixed-point residuals.  solve_entropy drives a small multistart over
-constant / one-bump / two-bump seeds and keeps the candidate of maximal
-entropy.
+f = expit(mu + beta * Kf / m) together with both constraints.  Every seed
+profile takes one path: multipliers (beta, mu) fitted to the seed by least
+squares, then a globalized Newton solve of the joint KKT system in
+(f, beta, mu) with backtracking on the max-norm residual.  solve_entropy
+runs that path from the k-bump seed family (constant plus cos(2 pi k x),
+k = 1..6) and keeps the candidate of maximal entropy.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit
 
 from .functional import (
@@ -27,7 +23,6 @@ from .functional import (
     apply_kernel,
     density_N,
     entropy_H,
-    hbin,
     hbin_prime,
     make_profile,
     xi,
@@ -36,10 +31,8 @@ from .potential import KernelMatrix, Potential, cell_kernel
 
 DEFAULT_GRID = 256
 CONSTRAINT_TOL = 1e-8
-EL_TOL = 1e-12
+EL_TOL = 1e-11
 NOISE_FLOOR = 1e-6
-
-_PENALTIES = (1e2, 1e3, 1e4, 1e5, 1e6)
 
 
 @dataclass(frozen=True)
@@ -48,16 +41,13 @@ class Multipliers:
     mu: float
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
-    values: np.ndarray | None
-    iterations: int
-    converged: bool
-
-
 @dataclass
 class SolveResult:
-    """One optimizer candidate with its multipliers and diagnostics."""
+    """One optimizer candidate with its multipliers and diagnostics.
+
+    iterations is (Newton iterations, backtracking halvings) of the seed's
+    Newton-KKT run.
+    """
 
     profile: OccupancyProfile
     multipliers: Multipliers
@@ -68,7 +58,6 @@ class SolveResult:
     converged: bool
     el_residual: float = math.nan
     degenerate: bool = False
-    method: str = "multiplier_root"
     candidates: tuple = ()
 
 
@@ -76,78 +65,6 @@ def _as_values(seed) -> np.ndarray:
     if isinstance(seed, OccupancyProfile):
         return np.array(seed.values, dtype=float)
     return np.array(seed, dtype=float).ravel()
-
-
-def el_fixed_point(K: KernelMatrix, mult: Multipliers, seed, damping: float = 0.5,
-                   max_iter: int = 20000, tol: float = EL_TOL) -> FixedPointResult:
-    """Damped iteration f <- (1 - w) f + w expit(mu + beta Kf / m).
-
-    Stops when the undamped residual max|expit(. ) - f| drops below tol, so
-    the returned profile satisfies the fixed-point relation to tol.  The
-    damping is halved whenever the residual grows; a residual that keeps
-    growing or an exhausted iteration budget returns a divergence flag
-    instead of raising.
-    """
-    f = np.clip(_as_values(seed), 1e-15, 1.0 - 1e-15)
-    A = K.entries
-    scale = mult.beta / K.m
-    w = float(damping)
-    prev = math.inf
-    for it in range(1, max_iter + 1):
-        g = expit(mult.mu + scale * (A @ f))
-        res = float(np.max(np.abs(g - f)))
-        if not math.isfinite(res):
-            return FixedPointResult(None, it, False)
-        if res < tol:
-            return FixedPointResult(f, it, True)
-        if res > prev * (1.0 + 1e-12):
-            w *= 0.5
-            if w < 1e-5:
-                return FixedPointResult(None, it, False)
-        f = (1.0 - w) * f + w * g
-        prev = res
-    return FixedPointResult(None, max_iter, False)
-
-
-def _newton_fixed_point(K: KernelMatrix, beta: float, mu: float, start,
-                        tol: float = EL_TOL, max_iter: int = 80):
-    """Newton solve of f = expit(mu + beta Kf/m) at fixed multipliers.
-
-    The damped iteration is linearly unstable at optimizers with large |beta|
-    (the logistic map's Jacobian grows past one); Newton tracks the same
-    fixed-point branch regardless of that stability and is used whenever the
-    damped iteration stalls.
-    """
-    A = K.entries
-    m = K.m
-    f = np.clip(_as_values(start), 1e-12, 1.0 - 1e-12)
-    eye = np.eye(m)
-    for it in range(1, max_iter + 1):
-        z = mu + beta * (A @ f) / m
-        s = expit(z)
-        F = f - s
-        rn = float(np.max(np.abs(F)))
-        if rn < tol:
-            return f, it, True
-        sp = s * (1.0 - s)
-        J = eye - (sp[:, None] * A) * (beta / m)
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            return f, it, False
-        t = 1.0
-        moved = False
-        for _ in range(20):
-            f_new = np.clip(f + t * step, 1e-14, 1.0 - 1e-14)
-            F_new = f_new - expit(mu + beta * (A @ f_new) / m)
-            if float(np.max(np.abs(F_new))) < rn * (1.0 - 1e-4 * t) + 1e-16:
-                f = f_new
-                moved = True
-                break
-            t *= 0.5
-        if not moved:
-            return f, it, False
-    return f, max_iter, False
 
 
 def _fit_multipliers(K: KernelMatrix, values: np.ndarray, rho: float) -> tuple[float, float]:
@@ -162,27 +79,32 @@ def _fit_multipliers(K: KernelMatrix, values: np.ndarray, rho: float) -> tuple[f
     return float(beta), float(mu)
 
 
-def _constraint_gap(K, f, target_xi, target_rho):
-    m = K.m
-    x = float(f @ (K.entries @ f)) / (m * m)
-    n = float(f.mean())
-    return np.array([x - target_xi, n - target_rho])
-
-
 def _newton_kkt(K, target_xi, target_rho, f, beta, mu,
-                tol: float = 1e-11, max_iter: int = 60):
-    """Newton solve of the joint system: fixed point + both constraints."""
+                tol: float = EL_TOL, max_iter: int = 60):
+    """Globalized Newton solve of the fixed point and both constraints.
+
+    Each iteration solves the (m + 2)-dimensional linearization in
+    (f, beta, mu) and halves the step until the max-norm residual drops
+    (Armijo factor 1e-4).  Stops below tol, after max_iter iterations, at a
+    singular Jacobian, or when 25 halvings do not help.  Returns
+    (f, beta, mu, iterations, halvings).
+    """
     m = K.m
     A = K.entries
-    f = np.clip(np.array(f, dtype=float), 1e-14, 1.0 - 1e-14)
     eye = np.eye(m)
-    for _ in range(max_iter):
+
+    def residual(f, beta, mu):
         Kf_m = (A @ f) / m
         s = expit(mu + beta * Kf_m)
-        R = np.concatenate([f - s, _constraint_gap(K, f, target_xi, target_rho)])
-        rn = float(np.max(np.abs(R)))
+        R = np.concatenate([f - s, [f @ Kf_m / m - target_xi, f.mean() - target_rho]])
+        return Kf_m, s, R, float(np.max(np.abs(R)))
+
+    f = np.clip(np.array(f, dtype=float), 1e-14, 1.0 - 1e-14)
+    Kf_m, s, R, rn = residual(f, beta, mu)
+    halvings = 0
+    for it in range(max_iter):
         if rn < tol:
-            return f, beta, mu, True
+            return f, beta, mu, it, halvings
         sp = s * (1.0 - s)
         J = np.zeros((m + 2, m + 2))
         J[:m, :m] = eye - (sp[:, None] * A) * (beta / m)
@@ -193,154 +115,43 @@ def _newton_kkt(K, target_xi, target_rho, f, beta, mu,
         try:
             step = np.linalg.solve(J, -R)
         except np.linalg.LinAlgError:
-            return f, beta, mu, False
-        improved = False
+            return f, beta, mu, it + 1, halvings
         t = 1.0
         for _ in range(25):
-            f_new = np.clip(f + t * step[:m], 1e-14, 1.0 - 1e-14)
-            beta_new = beta + t * step[m]
-            mu_new = mu + t * step[m + 1]
-            s_new = expit(mu_new + beta_new * (A @ f_new) / m)
-            R_new = np.concatenate([f_new - s_new,
-                                    _constraint_gap(K, f_new, target_xi, target_rho)])
-            if float(np.max(np.abs(R_new))) < rn * (1.0 - 1e-4 * t) + 1e-15:
-                f, beta, mu = f_new, beta_new, mu_new
-                improved = True
+            trial = (np.clip(f + t * step[:m], 1e-14, 1.0 - 1e-14),
+                     beta + t * step[m], mu + t * step[m + 1])
+            new = residual(*trial)
+            if new[3] < rn * (1.0 - 1e-4 * t) + 1e-15:
                 break
             t *= 0.5
-        if not improved:
-            return f, beta, mu, False
-    return f, beta, mu, False
-
-
-def _penalty_descent(K, target_xi, target_rho, seed_values):
-    """Penalized bound-constrained descent used as the fallback seed.
-
-    Minimizes H(f) + P * (constraint residuals)^2 with penalty continuation,
-    then reads the multipliers off the stationarity relation by least squares.
-    Each stage restarts both from the running iterate and from the original
-    seed: a weak penalty flattens structured seeds into the symmetric saddle,
-    and re-injecting the seed keeps the structured basin reachable.
-    """
-    m = K.m
-    A = K.entries
-    eps = 1e-10
-    bounds = [(eps, 1.0 - eps)] * m
-    seed = np.clip(np.array(seed_values, dtype=float), 1e-4, 1.0 - 1e-4)
-    f = seed.copy()
-    for P in _PENALTIES:
-        def objective(v):
-            Kv = A @ v
-            x = float(v @ Kv) / (m * m)
-            n = float(v.mean())
-            val = float(np.mean(hbin(v))) + P * ((x - target_xi) ** 2 + (n - target_rho) ** 2)
-            grad = (hbin_prime(v) / m
-                    + P * 4.0 * (x - target_xi) * Kv / (m * m)
-                    + P * 2.0 * (n - target_rho) / m)
-            return val, grad
-        best = None
-        for start in (f, seed):
-            res = minimize(objective, start, jac=True, method="L-BFGS-B", bounds=bounds,
-                           options={"maxiter": 4000, "ftol": 1e-16, "gtol": 1e-12})
-            if best is None or res.fun < best.fun:
-                best = res
-        f = np.clip(best.x, eps, 1.0 - eps)
-    beta, mu = _fit_multipliers(K, f, target_rho)
-    return f, beta, mu
+            halvings += 1
+        else:
+            return f, beta, mu, it + 1, halvings
+        (f, beta, mu), (Kf_m, s, R, rn) = trial, new
+    return f, beta, mu, max_iter, halvings
 
 
 def solve_multipliers(K: KernelMatrix, target_xi: float, target_rho: float, seed,
-                      constraint_tol: float = CONSTRAINT_TOL, inner_tol: float = EL_TOL,
-                      max_outer: int = 40, damping: float = 0.5,
-                      max_inner: int = 2000, noise_floor: float = NOISE_FLOOR) -> SolveResult:
-    """Quasi-Newton root solve of the two constraint gaps over (beta, mu).
+                      constraint_tol: float = CONSTRAINT_TOL, tol: float = EL_TOL,
+                      noise_floor: float = NOISE_FLOOR) -> SolveResult:
+    """One seed's path: least-squares multipliers, then globalized Newton-KKT.
 
-    Each evaluation solves the fixed point warm-started from the previous
-    profile: the damped iteration first, a Newton solve of the same relation
-    when damping stalls (optimizer branches with large |beta| repel the plain
-    iteration).  The outer Jacobian comes from forward differences and failed
-    trial points halve the step.  A penalized descent plus Newton polish takes
-    over when the outer solve cannot close the constraints.
+    The seed is clipped into (0, 1), (beta, mu) are fitted to it by least
+    squares, and the Newton-KKT solve runs to the max-norm residual tol.
+    Convergence is judged afresh on the result (constraint gaps within
+    constraint_tol, fixed-point residual below 1e-7), so a stalled run comes
+    back flagged instead of raising.
     """
     if not 0.0 < target_rho < 1.0:
         raise ValueError("target density must lie in (0, 1)")
-    seed_v = np.clip(_as_values(seed), 1e-9, 1.0 - 1e-9)
-    beta, mu = _fit_multipliers(K, seed_v, target_rho)
-    inner_total = 0
-    outer = 0
-    method = "multiplier_root"
-
-    def run_inner(b, u, start):
-        nonlocal inner_total
-        fp = el_fixed_point(K, Multipliers(b, u), start, damping=damping,
-                            max_iter=max_inner, tol=inner_tol)
-        inner_total += fp.iterations
-        if fp.converged:
-            return fp
-        vals, its, ok = _newton_fixed_point(K, b, u, start, tol=inner_tol)
-        inner_total += its
-        return FixedPointResult(vals if ok else None, its, ok)
-
-    fp = run_inner(beta, mu, seed_v)
-    if not fp.converged:
-        beta, mu = 0.0, float(np.log(target_rho / (1.0 - target_rho)))
-        fp = run_inner(beta, mu, seed_v)
-    f = fp.values if fp.converged else None
-    ok = False
-    if f is not None:
-        for outer in range(1, max_outer + 1):
-            G = _constraint_gap(K, f, target_xi, target_rho)
-            gn = float(np.max(np.abs(G)))
-            if (abs(G[0]) < constraint_tol * max(1.0, abs(target_xi))
-                    and abs(G[1]) < constraint_tol):
-                ok = True
-                break
-            # forward-difference Jacobian in (beta, mu)
-            hb = 1e-6 * max(1.0, abs(beta))
-            hm = 1e-6 * max(1.0, abs(mu))
-            fb = run_inner(beta + hb, mu, f)
-            fm = run_inner(beta, mu + hm, f)
-            if not (fb.converged and fm.converged):
-                break
-            Jb = (_constraint_gap(K, fb.values, target_xi, target_rho) - G) / hb
-            Jm = (_constraint_gap(K, fm.values, target_xi, target_rho) - G) / hm
-            J = np.column_stack([Jb, Jm])
-            try:
-                step = np.linalg.solve(J, -G)
-            except np.linalg.LinAlgError:
-                break
-            accepted = False
-            t = 1.0
-            for _ in range(12):
-                trial = run_inner(beta + t * step[0], mu + t * step[1], f)
-                if trial.converged:
-                    Gt = _constraint_gap(K, trial.values, target_xi, target_rho)
-                    if float(np.max(np.abs(Gt))) < gn * (1.0 - 1e-4 * t) + 1e-16:
-                        beta += t * step[0]
-                        mu += t * step[1]
-                        f = trial.values
-                        accepted = True
-                        break
-                t *= 0.5
-            if not accepted:
-                break
-
-    if ok:
-        f, beta, mu, polished = _newton_kkt(K, target_xi, target_rho, f, beta, mu)
-        ok = polished or ok
-    else:
-        # the fallback restarts from the original seed: the stalled outer
-        # iterate has usually collapsed onto the wrong fixed-point branch
-        method = "penalty_fallback"
-        f, beta, mu = _penalty_descent(K, target_xi, target_rho, seed_v)
-        f, beta, mu, ok = _newton_kkt(K, target_xi, target_rho, f, beta, mu)
-
-    return _finalize(K, target_xi, target_rho, f, beta, mu,
-                     iterations=(inner_total, outer), method=method,
+    f = np.clip(_as_values(seed), 1e-9, 1.0 - 1e-9)
+    beta, mu = _fit_multipliers(K, f, target_rho)
+    f, beta, mu, its, halvings = _newton_kkt(K, target_xi, target_rho, f, beta, mu, tol=tol)
+    return _finalize(K, target_xi, target_rho, f, beta, mu, iterations=(its, halvings),
                      constraint_tol=constraint_tol, noise_floor=noise_floor)
 
 
-def _finalize(K, target_xi, target_rho, f, beta, mu, iterations, method,
+def _finalize(K, target_xi, target_rho, f, beta, mu, iterations,
               constraint_tol, noise_floor) -> SolveResult:
     f = np.clip(np.asarray(f, dtype=float), 0.0, 1.0)
     prof = make_profile(f, periodic=K.periodic)
@@ -364,31 +175,33 @@ def _finalize(K, target_xi, target_rho, f, beta, mu, iterations, method,
         converged=bool(converged),
         el_residual=el_res,
         degenerate=degen,
-        method=method,
     )
 
 
 def default_seeds(m: int, rho: float, periodic: bool = True, amplitude: float = 0.5):
-    """Constant, one-bump and two-bump starting profiles, clipped into (0, 1)."""
+    """The constant profile and rho (1 + amplitude cos 2 pi k x) for k = 1..6.
+
+    Above the curve the reference optimizer has three bumps and is reached
+    from the k = 3 seed, so the family has to run past the one- and two-bump
+    shapes.  Values are clipped into (0, 1).
+    """
     x = (np.arange(m) + 0.5) / m
-    raw = [
-        np.full(m, rho),
-        rho * (1.0 + amplitude * np.cos(2.0 * np.pi * x)),
-        rho * (1.0 + amplitude * np.cos(4.0 * np.pi * x)),
-    ]
+    raw = [np.full(m, rho)]
+    raw += [rho * (1.0 + amplitude * np.cos(2.0 * np.pi * k * x)) for k in range(1, 7)]
     return [make_profile(np.clip(v, 1e-4, 1.0 - 1e-4), periodic=periodic) for v in raw]
 
 
 def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT_GRID,
                   seeds=None, kernel: KernelMatrix | None = None,
-                  workers: int | None = None, **solver_kwargs) -> SolveResult:
+                  **solver_kwargs) -> SolveResult:
     """Multistart entropy maximization at fixed (xi, rho).
 
-    Runs solve_multipliers from each seed, keeps converged candidates, and
-    returns the one with maximal entropy (ties within 1e-9 go to the profile
-    with fewer peaks).  The winner is circularly shifted so its global
-    maximum sits at cell m/2.  If every start fails the result comes back
-    with converged=False and the least-bad diagnostics.
+    Runs solve_multipliers from each seed (default_seeds unless given),
+    keeps converged candidates, and returns the one with maximal entropy
+    (ties within 1e-9 go to the profile with fewer peaks, then to the
+    earlier seed).  The winner is circularly shifted so its global maximum
+    sits at cell m/2.  If every start fails the result comes back with
+    converged=False and the least-bad diagnostics.
     """
     if pot.d != 1 or not pot.periodic:
         raise ValueError("the variational solver is implemented for periodic d = 1")
@@ -397,19 +210,11 @@ def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT
         m = K.m
     if seeds is None:
         seeds = default_seeds(m, rho)
-
-    def run(seed):
-        return solve_multipliers(K, xi_target, rho, seed, **solver_kwargs)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, seeds))
-    else:
-        results = [run(s) for s in seeds]
+    results = [solve_multipliers(K, xi_target, rho, s, **solver_kwargs) for s in seeds]
 
     summaries = tuple(
         {"branch": r.branch, "entropy_S": r.entropy_S, "converged": r.converged,
-         "residuals": r.residuals, "method": r.method}
+         "residuals": r.residuals}
         for r in results
     )
     converged = [(i, r) for i, r in enumerate(results) if r.converged]
@@ -504,7 +309,11 @@ def check_degenerate_branch(f: OccupancyProfile, K: KernelMatrix, xi_target: flo
 
 
 def solve_result_to_dict(result: SolveResult) -> dict:
-    """JSON-ready record with fields named as in the result type."""
+    """JSON-ready record with fields named as in the result type.
+
+    iterations is [Newton iterations, backtracking halvings] of the winning
+    seed's Newton-KKT run.
+    """
     return {
         "profile": {
             "m": result.profile.m,
@@ -519,6 +328,5 @@ def solve_result_to_dict(result: SolveResult) -> dict:
         "converged": result.converged,
         "el_residual": result.el_residual,
         "degenerate": result.degenerate,
-        "method": result.method,
         "candidates": [dict(c, residuals=list(c["residuals"])) for c in result.candidates],
     }

@@ -5,13 +5,14 @@ xi = lambda * rho^2 where the constant profile is the optimizer.  This
 module certifies that the curve point is achievable from both sides (three
 closed-form test profiles), computes the convexity-gap constant c of the
 shifted binary entropy and the spectral radius sigma of the scaled kernel,
-and scans S across the curve to verify the slope bound c / sigma.
+and scans S across the curve to verify the slope bound c / sigma.  Each
+scan point is one solve_entropy call on a shared kernel: the k-bump seed
+family, each seed taken through the single Newton-KKT path, run in order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,8 +203,7 @@ def _power_iterate(A, v, tol, max_iter):
 
 
 def scan_transition(pot: Potential, rho: float, deltas, m: int = 256,
-                    slack: float = 1e-4, workers: int | None = None,
-                    **solver_kwargs) -> TransitionScan:
+                    slack: float = 1e-4, **solver_kwargs) -> TransitionScan:
     """Solve S(xi, rho) on and around the curve xi = lambda rho^2.
 
     Requires the feasibility probe to certify the curve point first.  For
@@ -239,11 +239,7 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256,
             branch=res.branch, beta=res.multipliers.beta, mu=res.multipliers.mu,
             converged=res.converged)
 
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(run, targets))
-    else:
-        points = [run(t) for t in targets]
+    points = [run(t) for t in targets]
 
     mid = len(deltas)
     curve_pt = points[mid]

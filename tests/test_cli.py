@@ -165,6 +165,24 @@ class TestConfigErrors:
         assert run(["solve", "--config", str(path)]) == 3
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("args", [
+        ["enumerate", "--n", "30"],
+        ["enumerate", "--n", "12", "--delta", "-1"],
+        ["feasibility", "--rho", "0.4"],
+        ["solve", "--grid", "1"],
+        ["solve", "--rho", "1.5"],
+    ])
+    def test_rejected_input_is_config_error(self, cfg, tmp_path, capsys, args):
+        assert run(args + ["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seed", "--workers"])
+    def test_unused_flags_refused(self, cfg, flag):
+        with pytest.raises(SystemExit):
+            run(["solve", "--config", cfg, flag, "1"])
+
+
 class TestInternalError:
     def test_malformed_profile_is_internal_error(self, cfg, tmp_path):
         bad = tmp_path / "broken.csv"

@@ -1,47 +1,12 @@
-"""Fixed-point solver, multiplier root solve, multistart driver, diagnostics."""
-
-import math
+"""Per-seed Newton-KKT path, multistart driver, optimizer certificates, diagnostics."""
 
 import numpy as np
 import pytest
 
 import latgas as lg
-from latgas.solver import Multipliers
 
 RHO = 0.23
 XI_CURVE = 7.0 * RHO * RHO
-
-
-class TestElFixedPoint:
-    def test_zero_multipliers_give_half(self, kernel256):
-        fp = lg.el_fixed_point(kernel256, Multipliers(0.0, 0.0),
-                               lg.constant_profile(256, 0.3), damping=1.0)
-        assert fp.converged and fp.iterations <= 2
-        np.testing.assert_allclose(fp.values, 0.5, atol=1e-12)
-
-    def test_constant_fixed_point(self, kernel256):
-        mu = math.log(RHO / (1.0 - RHO))
-        fp = lg.el_fixed_point(kernel256, Multipliers(0.0, mu),
-                               lg.constant_profile(256, 0.4))
-        assert fp.converged
-        np.testing.assert_allclose(fp.values, RHO, atol=1e-11)
-
-    def test_contraction_seed_independence(self, kernel256, rng):
-        # |beta| lambda < 4 keeps the iteration a contraction
-        mult = Multipliers(0.4, -1.0)
-        seeds = [lg.constant_profile(256, 0.2),
-                 lg.make_profile(np.clip(0.3 + 0.2 * np.cos(
-                     2 * np.pi * (np.arange(256) + 0.5) / 256), 0.01, 0.99))]
-        sols = [lg.el_fixed_point(kernel256, mult, s) for s in seeds]
-        assert all(s.converged for s in sols)
-        np.testing.assert_allclose(sols[0].values, sols[1].values, atol=1e-8)
-
-    def test_divergence_flag_not_exception(self, kernel256):
-        # exhausted iteration budget comes back as a flag, not an exception
-        fp = lg.el_fixed_point(kernel256, Multipliers(-3.8, 4.7),
-                               lg.constant_profile(256, 0.5), max_iter=3)
-        assert not fp.converged
-        assert fp.values is None
 
 
 class TestSolveMultipliers:
@@ -96,8 +61,36 @@ class TestSolveEntropy:
         assert int(np.argmax(v)) == solve_below.profile.m // 2
 
     def test_candidates_reported(self, solve_above):
-        assert len(solve_above.candidates) == 3
-        assert all("branch" in c and "entropy_S" in c for c in solve_above.candidates)
+        cands = solve_above.candidates
+        assert len(cands) == len(lg.default_seeds(256, RHO))
+        assert all("branch" in c and "entropy_S" in c for c in cands)
+        assert solve_above.entropy_S == max(c["entropy_S"] for c in cands if c["converged"])
+
+
+# solve_entropy at m = 256 on the reference potential, recorded from the
+# five-strategy solver this package used before the single Newton-KKT path
+REGRESSION_TABLE = [
+    (0.18, -0.02, "unimodal", -0.266419088499),
+    (0.18, -0.01, "unimodal", -0.243289595188),
+    (0.18, -0.005, "unimodal", -0.232348159936),
+    (0.18, 0.005, "multimodal(3)", -0.233719809990),
+    (0.18, 0.01, "multimodal(3)", -0.245961448173),
+    (0.18, 0.02, "multimodal(3)", -0.271365079840),
+    (0.23, -0.02, "unimodal", -0.190052004687),
+    (0.23, -0.01, "unimodal", -0.171594546858),
+    (0.23, -0.005, "unimodal", -0.162647957380),
+    (0.23, 0.005, "multimodal(3)", -0.163808205601),
+    (0.23, 0.01, "multimodal(3)", -0.173897758715),
+    (0.23, 0.02, "multimodal(3)", -0.194565721857),
+]
+
+
+@pytest.mark.parametrize("rho,dxi,branch,S", REGRESSION_TABLE)
+def test_regression_table(pot_a2, kernel256, rho, dxi, branch, S):
+    res = lg.solve_entropy(pot_a2, 7.0 * rho * rho + dxi, rho, m=256, kernel=kernel256)
+    assert res.converged
+    assert res.branch == branch
+    assert res.entropy_S == pytest.approx(S, abs=1e-9)
 
 
 class TestBranchDiagnostics:
@@ -165,6 +158,23 @@ class TestOptimizerInvariants:
             g = np.clip(f + 1e-2 * d / np.max(np.abs(d)), 1e-9, 1 - 1e-9)
             assert lg.entropy_H(lg.make_profile(g)) >= h_star - 1e-6
 
+    @pytest.mark.parametrize("name", ["solve_below", "solve_above"])
+    def test_second_order_certificate(self, kernel256, request, name):
+        # Hessian of the Lagrangian, diag(1/(f(1-f))) - beta A/m, projected onto
+        # the null space of the constraint gradients 2Af/m and 1: positive
+        # definite except for the one zero mode of translation
+        res = request.getfixturevalue(name)
+        f = res.profile.values
+        A = kernel256.entries
+        hess = np.diag(1.0 / (f * (1.0 - f))) - res.multipliers.beta * A / 256
+        grads = np.column_stack([2.0 * (A @ f) / 256, np.ones(256)])
+        q, _ = np.linalg.qr(grads, mode="complete")
+        z = q[:, 2:]
+        eig = np.linalg.eigvalsh(z.T @ hess @ z)
+        zero = np.abs(eig) < 1e-8 * eig.max()
+        assert int(zero.sum()) == 1
+        assert np.all(eig[~zero] > 0.0)
+
     def test_nonconstant_off_curve(self, solve_below, solve_above):
         assert solve_below.branch != "constant"
         assert solve_above.branch != "constant"
@@ -202,3 +212,5 @@ class TestSerialization:
                           "branch", "iterations", "converged"}
         assert len(d["profile"]["values"]) == 256
         assert d["branch"] == "unimodal"
+        its, halvings = d["iterations"]
+        assert 0 < its and 0 <= halvings
