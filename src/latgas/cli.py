@@ -185,7 +185,7 @@ def cmd_scan(args) -> int:
         raise ConfigError("scan needs a nonempty comma-separated delta list")
     try:
         scan = transition.scan_transition(pot, rho, deltas, m=m, **_solver_tolerances(sections))
-    except ValueError as exc:
+    except transition.UnscannableCurve as exc:
         raise InfeasibleError(str(exc)) from exc
     out = _out_dir(args)
     _write(out / "scan.csv", transition.scan_to_csv(scan))

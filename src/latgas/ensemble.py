@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .functional import OccupancyProfile, block_average, make_profile
-from .potential import Potential, eval_psi
+from .potential import Potential, pair_row
 
 ENUM_CAP = 24
 
@@ -55,13 +56,7 @@ class McmcStats:
 
 def _pair_matrix(pot: Potential, n: int) -> np.ndarray:
     """psi evaluated at every ordered site-pair distance (diagonal included)."""
-    if pot.d != 1:
-        raise ValueError("finite-lattice validation is one dimensional")
-    idx = np.arange(n)
-    diff = np.abs(idx[:, None] - idx[None, :]).astype(float)
-    if pot.periodic:
-        diff = np.minimum(diff, n - diff)
-    return eval_psi(pot, diff / n)
+    return toeplitz(pair_row(pot, n))
 
 
 def _bit_matrix(bits: int) -> np.ndarray:
@@ -128,10 +123,6 @@ def _align_shift(sample_sm: np.ndarray, reference: np.ndarray) -> int:
     return int(np.argmax(corr))
 
 
-def _values_on_grid(profile: OccupancyProfile, n: int) -> np.ndarray:
-    return block_average(profile.values, n)
-
-
 def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
                 chains: int, rng_seed: int, init: OccupancyProfile | None = None,
                 burn_in: float = 0.2, smooth_width: int | None = None,
@@ -165,7 +156,7 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     burn = int(steps * burn_in)
     children = np.random.SeedSequence(rng_seed).spawn(chains)
 
-    init_values = _values_on_grid(init, n) if init is not None else None
+    init_values = block_average(init.values, n) if init is not None else None
 
     if track_states and n > 60:
         raise ValueError("state tracking is meant for tiny lattices (n <= 60)")

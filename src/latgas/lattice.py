@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functional import OccupancyProfile, make_profile
-from .potential import Potential, cell_kernel, eval_psi
+from .functional import OccupancyProfile, block_average, make_profile
+from .potential import Potential, eval_psi, kernel_row, pair_row
 
 SITE_CAP = 1 << 26
 
@@ -79,38 +79,28 @@ def profile(cfg: LatticeConfig, m: int, periodic: bool = True) -> OccupancyProfi
     """
     if cfg.d != 1:
         raise ValueError("profiles are one dimensional")
-    occ = cfg.occupancy.astype(float)
-    if m == cfg.n:
-        vals = occ
-    elif m < cfg.n and cfg.n % m == 0:
-        vals = occ.reshape(m, -1).mean(axis=1)
-    elif m > cfg.n and m % cfg.n == 0:
-        vals = np.repeat(occ, m // cfg.n)
-    else:
-        raise ValueError(f"incompatible grids: m={m}, n={cfg.n}")
-    return make_profile(vals, periodic=periodic)
+    return make_profile(block_average(cfg.occupancy, m), periodic=periodic)
 
 
-def riemann_discrepancy(n: int, pot: Potential, chunk: int = 512) -> float:
+def riemann_discrepancy(n: int, pot: Potential) -> float:
     """Worst-case gap between lattice pair sums and cell-pair integrals.
 
     Returns sum_{I,J} |n^-2 psi(|I-J|/n) - integral over cell_I x cell_J|,
     which bounds |E_n(eta) - xi(f^eta)| uniformly over configurations.
+    Both tables are Toeplitz in the site offset k, so the double sum is a
+    weighted sum over offsets of |pair_row - kernel_row|: every offset
+    occurs n times when periodic; with free boundaries k = 0 occurs n times
+    and k > 0 occurs 2 (n - k) times.
     """
-    if pot.d != 1:
-        raise ValueError("the discrepancy sum is implemented for d = 1")
     if n > 4096:
-        raise ValueError("n capped at 4096 (the sum walks an n x n table)")
-    K = cell_kernel(pot, n).entries
-    idx = np.arange(n)
-    total = 0.0
-    for s in range(0, n, chunk):
-        diff = np.abs(idx[s:s + chunk, None] - idx[None, :]).astype(float)
-        if pot.periodic:
-            diff = np.minimum(diff, n - diff)
-        psi = eval_psi(pot, diff / n)
-        total += float(np.abs(psi - K[s:s + chunk]).sum())
-    return total / (n * n)
+        raise ValueError("n capped at 4096")
+    gap = np.abs(pair_row(pot, n) - kernel_row(pot, n))
+    if pot.periodic:
+        weights = np.full(n, float(n))
+    else:
+        weights = 2.0 * (n - np.arange(n, dtype=float))
+        weights[0] = n
+    return float(weights @ gap) / (n * n)
 
 
 # --- text round trip ------------------------------------------------------

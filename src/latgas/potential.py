@@ -10,11 +10,13 @@ strength.  Three kinds are supported:
 * ``tabulated`` -- linear interpolation through user-supplied (t, value)
   knots, clamped at the ends.
 
-The module also computes the integrated interaction (the double integral of
-psi(|x - y|) over the unit square) and assembles the m-by-m matrix of
-cell-pair averages that every continuum functional is built on.  All power
-law and plateau segments are integrated by closed-form antiderivatives, so
-the kernel carries no quadrature error of its own.
+In d = 1 every pair table is the symmetric Toeplitz matrix of one offset
+row: :func:`kernel_row` holds the cell-pair averages of psi that every
+continuum functional is built on, :func:`pair_row` the values of psi at the
+lattice site offsets.  The integrated interaction (the double integral of
+psi(|x - y|) over the unit square) and the kernel row come from closed-form
+antiderivatives of the power-law, plateau and linear segments, so in d = 1
+neither carries quadrature error; only d > 1 falls back to quadrature.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import toeplitz
 
 POWER_PLATEAU = "power_plateau"
 CONSTANT = "constant"
@@ -132,47 +135,19 @@ def eval_psi(pot: Potential, t):
 def integrated_interaction(pot: Potential) -> float:
     """Double integral of psi(|x - y|) over the unit cube pair (x, y).
 
-    For the periodic power-law/plateau interaction in d = 1 this has the
-    closed form 2 * 4**(r-1) / (1-r) + M / 2; other parameterizations fall
-    back to adaptive quadrature split at the piecewise breakpoints.
+    In d = 1 this is the exact moment int_0^1 psi when periodic (the row
+    integral is shift invariant; 2 * 4**(r-1) / (1-r) + M / 2 for the
+    power-law/plateau interaction) and 2 * int_0^1 (1 - t) psi(t) dt with
+    free boundaries, both summed segment by segment without quadrature.
+    d > 1 falls back to adaptive quadrature.
     """
     if pot.kind == CONSTANT:
         return float(pot.J)
     if pot.d == 1:
-        if pot.kind == POWER_PLATEAU and pot.periodic:
-            return 2.0 * 4.0 ** (pot.r - 1.0) / (1.0 - pot.r) + pot.M / 2.0
-        return _lambda_quad_1d(pot)
-    return _lambda_quad_nd(pot)
-
-
-def _breakpoints(pot: Potential):
-    """Interior breakpoints of the (folded) potential on [0, 1]."""
-    if pot.kind == POWER_PLATEAU:
-        return [0.25, 0.5, 0.75] if pot.periodic else [0.25]
-    if pot.kind == TABULATED:
-        pts = {t for t, _ in pot.samples if 0.0 < t < 1.0}
         if pot.periodic:
-            pts |= {1.0 - t for t in pts}
-            pts.add(0.5)
-        return sorted(pts)
-    return []
-
-
-def _lambda_quad_1d(pot: Potential) -> float:
-    # periodic: the row integral is shift invariant, so lambda = int_0^1 psi
-    # free: lambda = 2 * int_0^1 (1 - t) psi(t) dt
-    if pot.periodic:
-        def f(t):
-            return eval_psi(pot, t)
-    else:
-        def f(t):
-            return (1.0 - t) * eval_psi(pot, t)
-    edges = [0.0] + _breakpoints(pot) + [1.0]
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        val, _ = integrate.quad(f, a, b, limit=200, epsabs=1e-12, epsrel=1e-12)
-        total += val
-    return total if pot.periodic else 2.0 * total
+            return _psi_weighted(pot, 0.0, 1.0, 1.0, 0.0)
+        return 2.0 * _psi_weighted(pot, 0.0, 1.0, 1.0, -1.0)
+    return _lambda_quad_nd(pot)
 
 
 def _lambda_quad_nd(pot: Potential) -> float:
@@ -256,18 +231,21 @@ def _psi_weighted(pot: Potential, a: float, b: float, c0: float, c1: float) -> f
     return total
 
 
-def cell_kernel(pot: Potential, m: int) -> KernelMatrix:
-    """Assemble the m-by-m matrix of cell-pair averaged interactions.
-
-    Only d = 1 potentials are supported; the matrix is what the continuum
-    functionals consume.  Entries depend only on the cell offset, so the
-    matrix is Toeplitz, and circulant under periodic boundaries where the
-    mirrored offsets are copied bitwise to keep the symmetry exact.
-    """
+def _check_row(pot: Potential, m: int):
     if pot.d != 1:
-        raise ValueError("kernel matrices are one dimensional")
+        raise ValueError("pair tables are one dimensional")
     if m < 2:
-        raise ValueError("kernel grid must have at least two cells")
+        raise ValueError(f"a pair table needs at least two cells, got {m}")
+
+
+def kernel_row(pot: Potential, m: int) -> np.ndarray:
+    """Offset row of the m-cell kernel: entry k averages psi over cell pairs k apart.
+
+    Entry k is m^2 times the integral of psi(|x - y|) over cell_0 x cell_k.
+    Under periodic boundaries the mirrored offsets m - k are copied bitwise
+    from k, so the circulant matrix of the row is exactly symmetric.
+    """
+    _check_row(pot, m)
     h = 1.0 / m
     ent = np.empty(m)
     ent[0] = 2.0 * m * m * _psi_weighted(pot, 0.0, h, h, -1.0)
@@ -280,10 +258,26 @@ def cell_kernel(pot: Potential, m: int) -> KernelMatrix:
     if pot.periodic:
         for k in range(1, (m + 1) // 2):
             ent[m - k] = ent[k]
-        idx = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
-    else:
-        idx = np.abs(np.arange(m)[None, :] - np.arange(m)[:, None])
-    entries = ent[idx]
+    return ent
+
+
+def pair_row(pot: Potential, n: int) -> np.ndarray:
+    """psi at the n lattice site offsets: psi(k/n), or psi(min(k, n-k)/n) when periodic."""
+    _check_row(pot, n)
+    k = np.arange(n, dtype=float)
+    if pot.periodic:
+        k = np.minimum(k, n - k)
+    return eval_psi(pot, k / n)
+
+
+def cell_kernel(pot: Potential, m: int) -> KernelMatrix:
+    """Assemble the m-by-m matrix of cell-pair averaged interactions.
+
+    Only d = 1 potentials are supported; the matrix is what the continuum
+    functionals consume.  It is the symmetric Toeplitz matrix of
+    :func:`kernel_row`, circulant under periodic boundaries.
+    """
+    entries = toeplitz(kernel_row(pot, m))
     entries.flags.writeable = False
     return KernelMatrix(m=m, entries=entries, periodic=bool(pot.periodic))
 

@@ -161,10 +161,7 @@ def _finalize(K, target_xi, target_rho, f, beta, mu, iterations,
     converged = (res_xi < constraint_tol * max(1.0, abs(target_xi))
                  and res_n < constraint_tol and el_res < 1e-7)
     branch = classify_branch(prof, noise_floor)
-    try:
-        degen = check_degenerate_branch(prof, K, target_xi, target_rho, tol=1e-6)
-    except ValueError:
-        degen = False
+    degen = check_degenerate_branch(prof, K, target_xi, target_rho, tol=1e-6)
     return SolveResult(
         profile=prof,
         multipliers=Multipliers(float(beta), float(mu)),

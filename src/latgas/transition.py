@@ -29,6 +29,11 @@ from .potential import CONSTANT, POWER_PLATEAU, KernelMatrix, Potential, cell_ke
 from .solver import solve_entropy
 
 
+class UnscannableCurve(ValueError):
+    """The curve point cannot be scanned: the potential is constant, or the
+    feasibility probe does not certify the point interior."""
+
+
 @dataclass
 class FeasibilityProbe:
     """Closed-form energies of the three test profiles at density rho."""
@@ -156,50 +161,17 @@ def _golden_min(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
     return min(fc, fd)
 
 
-def spectral_radius(K: KernelMatrix, tol: float = 1e-12, max_iter: int = 20000) -> float:
-    """Spectral radius of the scaled kernel operator (1/m) K by power iteration.
+def spectral_radius(K: KernelMatrix) -> float:
+    """Spectral radius of the scaled kernel operator (1/m) K, computed exactly.
 
-    A deflation step guards against converging to a subdominant mode, and
-    circulant kernels are cross-checked against the discrete Fourier
-    coefficients of the first row.  Non-convergence raises with the current
-    Rayleigh-quotient estimate.
+    The eigenvalues of a circulant matrix are the discrete Fourier transform
+    of its first row (Gray, Toeplitz and Circulant Matrices: A Review, 2006),
+    so periodic kernels give max |rfft(row)| / m.  Other kernels are symmetric
+    and take a dense symmetric eigensolve.
     """
-    A = K.entries / K.m
-    m = K.m
-    lam, vec, ok = _power_iterate(A, np.full(m, 1.0 / math.sqrt(m)), tol, max_iter)
-    if not ok:
-        # restart once from a non-uniform deterministic vector
-        alt = np.cos(2.0 * np.pi * np.arange(m) / m) + 0.5
-        lam, vec, ok = _power_iterate(A, alt / np.linalg.norm(alt), tol, max_iter)
-    if not ok:
-        raise RuntimeError(f"power iteration did not converge; Rayleigh estimate {lam:.12g}")
-    sigma = abs(lam)
-    # deflation guard: no remaining mode may exceed the converged one
-    B = A - lam * np.outer(vec, vec)
-    lam2, _, ok2 = _power_iterate(B, np.full(m, 1.0 / math.sqrt(m)), 1e-6, 2000)
-    if ok2 and abs(lam2) > sigma * (1.0 + 1e-8):
-        raise RuntimeError(
-            f"deflation guard failed: subdominant estimate {lam2:.12g} exceeds {sigma:.12g}")
     if K.periodic:
-        sigma_fft = float(np.max(np.abs(np.fft.fft(K.entries[0])))) / m
-        if abs(sigma - sigma_fft) > 1e-7 * max(1.0, sigma):
-            raise RuntimeError(
-                f"circulant cross-check failed: power {sigma:.12g} vs fourier {sigma_fft:.12g}")
-    return sigma
-
-
-def _power_iterate(A, v, tol, max_iter):
-    lam = 0.0
-    for _ in range(max_iter):
-        w = A @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0, v, True
-        lam = float(v @ w)
-        if float(np.linalg.norm(w - lam * v)) < tol * max(1.0, abs(lam)):
-            return lam, w / norm, True
-        v = w / norm
-    return lam, v, False
+        return float(np.max(np.abs(np.fft.rfft(K.entries[0])))) / K.m
+    return float(np.max(np.abs(np.linalg.eigvalsh(K.entries / K.m))))
 
 
 def scan_transition(pot: Potential, rho: float, deltas, m: int = 256,
@@ -213,14 +185,14 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256,
     Failed solves become failure markers, not exceptions.
     """
     if pot.kind == CONSTANT:
-        raise ValueError(
+        raise UnscannableCurve(
             "constant interactions tie the energy to the particle density; nothing to scan")
     deltas = sorted(float(d) for d in deltas)
     if not deltas or deltas[0] <= 0.0:
         raise ValueError("deltas must be a nonempty list of positive reals")
     probe = feasibility_probe(pot, rho)
     if not probe.interior:
-        raise ValueError("curve point not certified interior (plateau height too small)")
+        raise UnscannableCurve("curve point not certified interior (plateau height too small)")
     lam = integrated_interaction(pot)
     xi0 = lam * rho * rho
     K = cell_kernel(pot, m)

@@ -1,9 +1,21 @@
 """Shared fixtures: the reference interaction and the three canonical solves."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import latgas as lg
+
+# property tests draw the same examples on every run and keep no example database
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
+# even without a database hypothesis caches the constants of the source files
+# in its home directory, by default ./.hypothesis; keep that out of the tree
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "latgas-hypothesis")
 
 RHO = 0.23
 LAM = 7.0

@@ -172,6 +172,9 @@ class TestInputErrors:
         ["feasibility", "--rho", "0.4"],
         ["solve", "--grid", "1"],
         ["solve", "--rho", "1.5"],
+        ["scan", "--deltas=-0.01"],
+        ["scan", "--rho", "0.4", "--deltas", "0.01"],
+        ["scan", "--grid", "1", "--deltas", "0.01"],
     ])
     def test_rejected_input_is_config_error(self, cfg, tmp_path, capsys, args):
         assert run(args + ["--config", cfg, "--out", str(tmp_path / "o")]) == 3

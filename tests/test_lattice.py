@@ -129,6 +129,20 @@ class TestRiemannDiscrepancy:
             gap = abs(lg.energy_density(cfg, pot_a2) - lg.xi(lg.profile(cfg, n), K))
             assert gap <= disc + 1e-12
 
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("n", [5, 16, 33])
+    def test_matches_double_sum(self, n, periodic):
+        pot = lg.Potential.power_plateau(0.5, 10.0, periodic=periodic)
+        K = lg.cell_kernel(pot, n).entries
+        total = 0.0
+        for i in range(n):
+            for j in range(n):
+                d = abs(i - j)
+                if periodic:
+                    d = min(d, n - d)
+                total += abs(lg.eval_psi(pot, d / n) - K[i, j])
+        assert lg.riemann_discrepancy(n, pot) == pytest.approx(total / n ** 2, rel=1e-13)
+
     def test_cap(self, pot_a2):
         with pytest.raises(ValueError):
             lg.riemann_discrepancy(5000, pot_a2)

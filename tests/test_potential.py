@@ -8,9 +8,19 @@ import latgas as lg
 
 
 def quad_lambda(pot):
-    """Independent quadrature of the integrated interaction (periodic d=1)."""
-    val, err = integrate.quad(lambda t: lg.eval_psi(pot, t), 0.0, 1.0,
-                              points=[0.25, 0.5, 0.75], limit=200)
+    """Independent quadrature of the integrated interaction (d = 1).
+
+    Periodic: int_0^1 psi; free boundaries: 2 int_0^1 (1 - t) psi(t) dt.
+    """
+    knots = {t for t, _ in pot.samples}
+    points = sorted(p for p in {0.25, 0.5, 0.75} | knots | {1.0 - t for t in knots}
+                    if 0.0 < p < 1.0)
+
+    def integrand(t):
+        weight = 1.0 if pot.periodic else 2.0 * (1.0 - t)
+        return weight * lg.eval_psi(pot, t)
+
+    val, err = integrate.quad(integrand, 0.0, 1.0, points=points, limit=200)
     assert err < 1e-8
     return val
 
@@ -66,10 +76,21 @@ class TestIntegratedInteraction:
         assert lg.integrated_interaction(pot) == pytest.approx(4.0, abs=1e-12)
         assert lg.integrated_interaction(pot) == pytest.approx(quad_lambda(pot), abs=1e-8)
 
-    def test_tabulated_quadrature_route(self):
-        pot = lg.Potential.tabulated([(0.0, 1.0), (0.5, 2.0), (1.0, 1.0)], periodic=True)
+    @pytest.mark.parametrize("pot, exact", [
         # folded profile is the tent 1 + 2 min(t, 1-t): integral = 1.5
-        assert lg.integrated_interaction(pot) == pytest.approx(1.5, abs=1e-9)
+        (lg.Potential.tabulated([(0.0, 1.0), (0.5, 2.0), (1.0, 1.0)], periodic=True), 1.5),
+        (lg.Potential.tabulated([(0.1, 3.0), (0.45, 1.0)], periodic=True), None),
+        # 2 [int_0^(1/4) (1-t) t^(-1/2) dt + 10 int_(1/4)^1 (1-t) dt] = 179/24
+        (lg.Potential.power_plateau(0.5, 10.0, periodic=False), 179.0 / 24.0),
+        (lg.Potential.power_plateau(0.7, 2.5, periodic=False), None),
+        (lg.Potential.tabulated([(0.0, 0.0), (0.3, 2.0), (0.8, 0.5)], periodic=False), None),
+    ], ids=["periodic-tent", "periodic-tabulated", "free-plateau", "free-plateau-r07",
+            "free-tabulated"])
+    def test_exact_moment_vs_quadrature(self, pot, exact):
+        lam = lg.integrated_interaction(pot)
+        assert lam == pytest.approx(quad_lambda(pot), rel=1e-12)
+        if exact is not None:
+            assert lam == pytest.approx(exact, rel=1e-14)
 
 
 class TestCellKernel:
@@ -104,6 +125,8 @@ class TestCellKernel:
         m = 32
         K = lg.cell_kernel(pot, m)
         assert np.array_equal(K.entries, K.entries.T)
+        idx = np.abs(np.arange(m)[None, :] - np.arange(m)[:, None])
+        assert np.array_equal(K.entries, K.entries[0][idx])
         # spot-check an entry whose cell pair straddles the 1/4 breakpoint:
         # reduce to the offset coordinate u = y - x with its tent weight
         k = 8

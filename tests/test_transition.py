@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 import latgas as lg
 from latgas.potential import KernelMatrix
@@ -81,6 +84,19 @@ class TestSpectralRadius:
         K = lg.cell_kernel(pot_a2, 128)
         dense = float(np.max(np.abs(np.linalg.eigvalsh(K.entries / 128))))
         assert lg.spectral_radius(K) == pytest.approx(dense, rel=1e-9)
+
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=40), st.booleans())
+    def test_random_rows_match_eigvalsh(self, values, periodic):
+        row = np.array(values)
+        if periodic:
+            # a circulant row also satisfies row[k] = row[m - k]
+            row = 0.5 * (row + np.roll(row[::-1], 1))
+        m = row.size
+        entries = toeplitz(row)
+        entries.flags.writeable = False
+        K = KernelMatrix(m=m, entries=entries, periodic=periodic)
+        dense = float(np.max(np.abs(np.linalg.eigvalsh(entries / m))))
+        assert lg.spectral_radius(K) == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
     def test_identity_kernel(self):
         m = 64
