@@ -30,7 +30,7 @@ rng = np.random.default_rng(7)
 worst = 0.0
 for _ in range(200):
     bits = (rng.random(n) < 0.3).astype(int)
-    cfg = lg.make_config(1, n, bits)
+    cfg = lg.make_config(n, bits)
     gap = abs(lg.energy_density(cfg, pot) - lg.xi(lg.profile(cfg, n), K))
     worst = max(worst, gap)
 print(f"\nn={n}: worst |E_n - xi(f)| over 200 random configs = {worst:.4f}"

@@ -15,7 +15,6 @@ from .potential import (
     Potential,
     cell_kernel,
     eval_psi,
-    from_config,
     integrated_interaction,
     to_config,
 )

@@ -216,7 +216,7 @@ def cmd_sample(args) -> int:
         init = _read_profile(args.init_profile)
     try:
         stats = ensemble.mcmc_sample(n, pot, window, steps, chains, seed, init=init)
-    except (RuntimeError, ValueError) as exc:
+    except RuntimeError as exc:  # the anneal found no state in the energy window
         raise InfeasibleError(str(exc)) from exc
     out = _out_dir(args)
     _write(out / "mcmc_stats.json", _json_record(ensemble.stats_to_dict(stats)))

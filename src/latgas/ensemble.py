@@ -22,6 +22,9 @@ from .functional import OccupancyProfile, block_average, make_profile
 from .potential import Potential, pair_row
 
 ENUM_CAP = 24
+ENUM_CHUNK = 512  # rows of the half-lattice product per window test
+BURN_IN = 0.2  # fraction of each chain discarded before averaging
+ANNEAL_TRIES_PER_SITE = 500  # the anneal gives up after this many proposals per site
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,7 @@ def _bit_matrix(bits: int) -> np.ndarray:
     return ((masks[:, None] >> np.arange(bits)[None, :]) & 1).astype(float)
 
 
-def enumerate_entropy(n: int, pot: Potential, window: EnsembleWindow,
-                      chunk: int = 512) -> tuple[int, float]:
+def enumerate_entropy(n: int, pot: Potential, window: EnsembleWindow) -> tuple[int, float]:
     """Exact count of window configurations and n^-1 log(count / 2^n).
 
     Splits the chain into two halves and assembles all 2^n pair energies from
@@ -94,9 +96,9 @@ def enumerate_entropy(n: int, pot: Potential, window: EnsembleWindow,
     hi_p = (window.rho + window.delta) * n
     XBT = XB.T
     count = 0
-    for s in range(0, XA.shape[0], chunk):
-        E = eA[s:s + chunk, None] + 2.0 * (cross[s:s + chunk] @ XBT) + eB[None, :]
-        P = popA[s:s + chunk, None] + popB[None, :]
+    for s in range(0, XA.shape[0], ENUM_CHUNK):
+        E = eA[s:s + ENUM_CHUNK, None] + 2.0 * (cross[s:s + ENUM_CHUNK] @ XBT) + eB[None, :]
+        P = popA[s:s + ENUM_CHUNK, None] + popB[None, :]
         ok = (E > lo_e) & (E < hi_e) & (P > lo_p) & (P < hi_p)
         count += int(ok.sum())
     total = 1 << n
@@ -125,25 +127,23 @@ def _align_shift(sample_sm: np.ndarray, reference: np.ndarray) -> int:
 
 def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
                 chains: int, rng_seed: int, init: OccupancyProfile | None = None,
-                burn_in: float = 0.2, smooth_width: int | None = None,
                 track_states: bool = False, track_every: int = 1) -> McmcStats:
     """Window-constrained swap sampler with exact particle number.
 
     Chains start from the rounded init profile when one is given (top cells
     by occupancy), otherwise from a seeded random configuration; either way a
     bounded greedy anneal walks the energy into its window first.  Samples
-    after the burn-in fraction are circularly aligned before averaging when
-    an init profile pins the frame: each smoothed sample is cross-correlated
-    against the smoothed init template.  Without a template samples pass
-    through unshifted (aligning featureless chains by any max-correlation
-    rule would stack their noise into an artificial lump; the collective
-    pattern drifts slowly enough that unaligned chain means stay sharp), and
-    chain means are re-aligned onto each other before merging.  The mean
-    profile is finally rolled so its peak sits at the center cell.  A full
-    sweep with zero acceptances sets a stuck-chain warning in the stats.
+    after the burn-in fraction BURN_IN are circularly aligned before averaging
+    when an init profile pins the frame: each sample, smoothed over
+    max(3, n // 16) cells, is cross-correlated against the smoothed init
+    template.  Without a template samples pass through unshifted (aligning
+    featureless chains by any max-correlation rule would stack their noise
+    into an artificial lump; the collective pattern drifts slowly enough
+    that unaligned chain means stay sharp), and chain means are re-aligned
+    onto each other before merging.  The mean profile is finally rolled so
+    its peak sits at the center cell.  A full sweep with zero acceptances
+    sets a stuck-chain warning in the stats.
     """
-    if pot.d != 1:
-        raise ValueError("the sampler is one dimensional")
     k = int(round(window.rho * n))
     if not window.rho - window.delta < k / n < window.rho + window.delta:
         raise ValueError("round(rho n)/n leaves the density window; enlarge delta or n")
@@ -152,8 +152,8 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     psi = _pair_matrix(pot, n)
     lo = (window.xi - window.delta) * n * n
     hi = (window.xi + window.delta) * n * n
-    width = smooth_width if smooth_width is not None else max(3, n // 16)
-    burn = int(steps * burn_in)
+    width = max(3, n // 16)
+    burn = int(steps * BURN_IN)
     children = np.random.SeedSequence(rng_seed).spawn(chains)
 
     init_values = block_average(init.values, n) if init is not None else None
@@ -178,25 +178,22 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
         occ, s, E = _anneal_into_window(psi, occ, lo, hi, rng)
         occ_idx = np.flatnonzero(occ)
         emp_idx = np.flatnonzero(~occ)
-        pos = np.empty(n, dtype=np.int64)
-        pos[occ_idx] = np.arange(k)
-        pos[emp_idx] = np.arange(n - k)
         chain_profile = np.zeros(n)
         chain_samples = 0
         template_sm = (_smooth_cyclic(init_values, width)
                        if init_values is not None else None)
         rejects_in_row = 0
         for t in range(steps):
-            i = occ_idx[rng.integers(k)]
-            j = emp_idx[rng.integers(n - k)]
+            a = rng.integers(k)
+            b = rng.integers(n - k)
+            i = occ_idx[a]
+            j = emp_idx[b]
             dE = (-2.0 * s[i] + psi[i, i] + 2.0 * (s[j] - psi[i, j]) + psi[j, j])
             E_new = E + dE
             proposals_total += 1
             if lo < E_new < hi:
-                pi, pj = pos[i], pos[j]
-                occ_idx[pi] = j
-                emp_idx[pj] = i
-                pos[j], pos[i] = pi, pj
+                occ_idx[a] = j
+                emp_idx[b] = i
                 occ[i] = False
                 occ[j] = True
                 s += psi[j] - psi[i]
@@ -265,14 +262,14 @@ def _initial_config(n: int, k: int, init_values: np.ndarray | None,
 
 
 def _anneal_into_window(psi: np.ndarray, occ: np.ndarray, lo: float, hi: float,
-                        rng: np.random.Generator, max_tries: int | None = None):
+                        rng: np.random.Generator):
     """Greedy swaps toward the energy window; error if the walk stalls."""
     n = occ.size
     s = psi @ occ.astype(float)
     E = float(occ.astype(float) @ s)
     center = 0.5 * (lo + hi)
     tries = 0
-    limit = max_tries if max_tries is not None else 500 * n
+    limit = ANNEAL_TRIES_PER_SITE * n
     while not lo < E < hi:
         if tries >= limit:
             raise RuntimeError(

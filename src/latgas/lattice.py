@@ -1,10 +1,11 @@
 """Finite lattice occupancy configurations and their densities.
 
-A configuration assigns 0/1 occupancy to the n^d sites of the rescaled cubic
-lattice inside the unit cube.  The module evaluates the pair-energy density
-(ordered pairs, diagonal included through psi at distance zero), the particle
-density, the step-function occupancy profile, and the worst-case Riemann gap
-between the lattice energy sum and the continuum kernel quadratic form.
+A configuration assigns 0/1 occupancy to a chain of n sites, the lattice
+(1/n) Z rescaled into the unit interval.  The module evaluates the
+pair-energy density (ordered pairs, diagonal included through psi at distance
+zero), the particle density, the step-function occupancy profile, and the
+worst-case Riemann gap between the lattice energy sum and the continuum
+kernel quadratic form.
 """
 
 from __future__ import annotations
@@ -14,71 +15,63 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functional import OccupancyProfile, block_average, make_profile
-from .potential import Potential, eval_psi, kernel_row, pair_row
+from .potential import Potential, kernel_row, pair_row
 
 SITE_CAP = 1 << 26
 
 
 @dataclass(frozen=True, eq=False)
 class LatticeConfig:
-    """Occupancy bits on the n^d lattice, flattened in row-major site order."""
+    """Occupancy bits on a chain of n sites."""
 
-    d: int
     n: int
     occupancy: np.ndarray
 
 
-def make_config(d: int, n: int, occupancy) -> LatticeConfig:
-    if d < 1 or n < 1:
-        raise ValueError("dimension and side length must be positive")
-    sites = n ** d
-    if sites > SITE_CAP:
-        raise ValueError(f"n^d = {sites} exceeds the configured cap {SITE_CAP}")
+def make_config(n: int, occupancy) -> LatticeConfig:
+    if n < 1:
+        raise ValueError("the number of sites must be positive")
+    if n > SITE_CAP:
+        raise ValueError(f"n = {n} exceeds the configured cap {SITE_CAP}")
     occ = np.asarray(occupancy).astype(np.uint8).ravel()
-    if occ.size != sites:
-        raise ValueError(f"occupancy length {occ.size} does not match n^d = {sites}")
+    if occ.size != n:
+        raise ValueError(f"occupancy length {occ.size} does not match n = {n}")
     if np.any(occ > 1):
         raise ValueError("occupancy entries must be 0 or 1")
     occ.flags.writeable = False
-    return LatticeConfig(d=d, n=n, occupancy=occ)
+    return LatticeConfig(n=n, occupancy=occ)
 
 
 def particle_density(cfg: LatticeConfig) -> float:
     """Fraction of occupied sites (exact count divided as float)."""
-    return float(int(cfg.occupancy.sum())) / float(cfg.n ** cfg.d)
+    return float(int(cfg.occupancy.sum())) / float(cfg.n)
 
 
-def energy_density(cfg: LatticeConfig, pot: Potential, chunk: int = 2048) -> float:
-    """Pair energy density n^(-2d) sum_{I,J} eta(I) eta(J) psi(|I-J|/n).
+def energy_density(cfg: LatticeConfig, pot: Potential) -> float:
+    """Pair energy density n^-2 sum_{I,J} eta(I) eta(J) psi(|I-J|/n).
 
     Both ordered pairs are counted and the diagonal I = J enters through
-    psi at distance zero.  Distances are Euclidean, or torus distances
-    (per-coordinate minimum image) when the potential is periodic.
+    psi at distance zero; periodic potentials use the torus distance.  The
+    double sum is a sum over site offsets k of the number of occupied pairs
+    k apart times :func:`pair_row`.  The pair counts are the autocorrelation
+    of the occupancy, by FFT: cyclic when periodic, zero-padded to 2n for
+    free boundaries, where the offsets k and -k both count.  The counts are
+    integers, so rounding them makes them exact.
     """
-    if pot.d != cfg.d:
-        raise ValueError("potential dimension does not match the configuration")
-    occ = np.flatnonzero(cfg.occupancy)
-    if occ.size == 0:
-        return 0.0
-    coords = np.column_stack(np.unravel_index(occ, (cfg.n,) * cfg.d)).astype(float)
-    total = 0.0
-    for start in range(0, coords.shape[0], chunk):
-        blk = coords[start:start + chunk]
-        diff = np.abs(blk[:, None, :] - coords[None, :, :])
-        if pot.periodic:
-            diff = np.minimum(diff, cfg.n - diff)
-        dist = np.sqrt((diff * diff).sum(axis=2)) / cfg.n
-        total += float(np.sum(eval_psi(pot, dist)))
-    return total / float(cfg.n) ** (2 * cfg.d)
+    n = cfg.n
+    size = n if pot.periodic else 2 * n
+    spec = np.fft.rfft(cfg.occupancy, size)
+    lags = np.rint(np.fft.irfft(spec * np.conj(spec), size)[:n])
+    if not pot.periodic:
+        lags[1:] *= 2.0
+    return float(lags @ pair_row(pot, n)) / (n * n)
 
 
 def profile(cfg: LatticeConfig, m: int, periodic: bool = True) -> OccupancyProfile:
-    """Block-average the 0/1 step profile onto m cells (d = 1 only).
+    """Block-average the 0/1 step profile onto m cells.
 
     m must divide n or n must divide m; with m = n the raw bits come back.
     """
-    if cfg.d != 1:
-        raise ValueError("profiles are one dimensional")
     return make_profile(block_average(cfg.occupancy, m), periodic=periodic)
 
 
@@ -106,9 +99,9 @@ def riemann_discrepancy(n: int, pot: Potential) -> float:
 # --- text round trip ------------------------------------------------------
 
 def config_to_text(cfg: LatticeConfig) -> str:
-    """Header line "d n" followed by the 0/1 site string."""
+    """Header line "1 n" (dimension, sites) followed by the 0/1 site string."""
     bits = "".join("1" if b else "0" for b in cfg.occupancy)
-    return f"{cfg.d} {cfg.n}\n{bits}\n"
+    return f"1 {cfg.n}\n{bits}\n"
 
 
 def config_from_text(text: str) -> LatticeConfig:
@@ -116,5 +109,7 @@ def config_from_text(text: str) -> LatticeConfig:
     if len(lines) != 2:
         raise ValueError("expected a header line and a bit string")
     d, n = (int(tok) for tok in lines[0].split())
+    if d != 1:
+        raise ValueError(f"lattice configurations are one dimensional, got d = {d}")
     bits = [int(ch) for ch in lines[1]]
-    return make_config(d, n, bits)
+    return make_config(n, bits)

@@ -1,22 +1,23 @@
 """Pair interaction potentials and their cell-averaged kernel matrices.
 
-A potential psi maps the pair distance t in [0, sqrt(d)] to an interaction
-strength.  Three kinds are supported:
+The package is one dimensional: a potential psi maps the pair distance t in
+[0, 1] of the unit interval to an interaction strength.  Three kinds are
+supported:
 
 * ``power_plateau`` -- t**(-r) on (0, 1/4), a flat plateau M from 1/4 on,
   with psi(0) = 0 so that a site does not interact with itself.  With
-  periodic boundaries in d = 1 the profile is mirrored, psi(t) = psi(1 - t).
+  periodic boundaries the profile is mirrored, psi(t) = psi(1 - t).
 * ``constant`` -- psi == J everywhere, including t = 0 (mean-field limit).
 * ``tabulated`` -- linear interpolation through user-supplied (t, value)
   knots, clamped at the ends.
 
-In d = 1 every pair table is the symmetric Toeplitz matrix of one offset
-row: :func:`kernel_row` holds the cell-pair averages of psi that every
-continuum functional is built on, :func:`pair_row` the values of psi at the
-lattice site offsets.  The integrated interaction (the double integral of
+Every pair table is the symmetric Toeplitz matrix of one offset row:
+:func:`kernel_row` holds the cell-pair averages of psi that every continuum
+functional is built on, :func:`pair_row` the values of psi at the lattice
+site offsets.  The integrated interaction (the double integral of
 psi(|x - y|) over the unit square) and the kernel row come from closed-form
-antiderivatives of the power-law, plateau and linear segments, so in d = 1
-neither carries quadrature error; only d > 1 falls back to quadrature.
+antiderivatives of the power-law, plateau and linear segments, so neither
+carries quadrature error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import toeplitz
 
 POWER_PLATEAU = "power_plateau"
@@ -49,13 +49,10 @@ class Potential:
     J: float | None = None
     samples: tuple[tuple[float, float], ...] = ()
     periodic: bool = True
-    d: int = 1
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.d < 1:
-            raise ValueError("dimension must be a positive integer")
         if self.kind == POWER_PLATEAU:
             if self.r is None or not 0.0 < self.r < 1.0:
                 raise ValueError("power-law exponent r must lie in (0, 1)")
@@ -70,21 +67,21 @@ class Potential:
             ts = [t for t, _ in self.samples]
             if any(b <= a for a, b in zip(ts, ts[1:])):
                 raise ValueError("tabulated knots must be strictly increasing")
-            if ts[0] < 0.0 or ts[-1] > math.sqrt(self.d) + 1e-12:
-                raise ValueError("tabulated knots must lie in [0, sqrt(d)]")
+            if ts[0] < 0.0 or ts[-1] > 1.0 + 1e-12:
+                raise ValueError("tabulated knots must lie in [0, 1]")
 
     @classmethod
-    def power_plateau(cls, r: float, M: float, periodic: bool = True, d: int = 1) -> "Potential":
-        return cls(kind=POWER_PLATEAU, r=float(r), M=float(M), periodic=periodic, d=d)
+    def power_plateau(cls, r: float, M: float, periodic: bool = True) -> "Potential":
+        return cls(kind=POWER_PLATEAU, r=float(r), M=float(M), periodic=periodic)
 
     @classmethod
-    def constant(cls, J: float, periodic: bool = True, d: int = 1) -> "Potential":
-        return cls(kind=CONSTANT, J=float(J), periodic=periodic, d=d)
+    def constant(cls, J: float, periodic: bool = True) -> "Potential":
+        return cls(kind=CONSTANT, J=float(J), periodic=periodic)
 
     @classmethod
-    def tabulated(cls, samples, periodic: bool = True, d: int = 1) -> "Potential":
+    def tabulated(cls, samples, periodic: bool = True) -> "Potential":
         knots = tuple((float(t), float(v)) for t, v in samples)
-        return cls(kind=TABULATED, samples=knots, periodic=periodic, d=d)
+        return cls(kind=TABULATED, samples=knots, periodic=periodic)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,18 +100,17 @@ class KernelMatrix:
 def eval_psi(pot: Potential, t):
     """Evaluate psi at distance(s) t; accepts scalars or arrays.
 
-    When the potential is periodic in d = 1 the argument is folded,
-    t -> 1 - t for t > 1/2, before the piecewise rule is applied.
-    Distances outside [0, sqrt(d)] raise a ValueError.
+    When the potential is periodic the argument is folded, t -> 1 - t for
+    t > 1/2, before the piecewise rule is applied.  Distances outside [0, 1]
+    raise a ValueError.
     """
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr).astype(float)
-    tmax = math.sqrt(pot.d)
-    if np.any(arr < -1e-12) or np.any(arr > tmax * (1.0 + 1e-12)):
-        raise ValueError(f"distance outside the potential domain [0, sqrt({pot.d})]")
-    arr = np.clip(arr, 0.0, tmax)
-    if pot.periodic and pot.d == 1:
+    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+        raise ValueError("distance outside the potential domain [0, 1]")
+    arr = np.clip(arr, 0.0, 1.0)
+    if pot.periodic:
         arr = np.where(arr > _HALF, 1.0 - arr, arr)
     if pot.kind == CONSTANT:
         out = np.full(arr.shape, float(pot.J))
@@ -133,40 +129,18 @@ def eval_psi(pot: Potential, t):
 
 
 def integrated_interaction(pot: Potential) -> float:
-    """Double integral of psi(|x - y|) over the unit cube pair (x, y).
+    """Double integral of psi(|x - y|) over the unit square of pairs (x, y).
 
-    In d = 1 this is the exact moment int_0^1 psi when periodic (the row
-    integral is shift invariant; 2 * 4**(r-1) / (1-r) + M / 2 for the
-    power-law/plateau interaction) and 2 * int_0^1 (1 - t) psi(t) dt with
-    free boundaries, both summed segment by segment without quadrature.
-    d > 1 falls back to adaptive quadrature.
+    This is the exact moment int_0^1 psi when periodic (the row integral is
+    shift invariant; 2 * 4**(r-1) / (1-r) + M / 2 for the power-law/plateau
+    interaction) and 2 * int_0^1 (1 - t) psi(t) dt with free boundaries,
+    both summed segment by segment without quadrature.
     """
     if pot.kind == CONSTANT:
         return float(pot.J)
-    if pot.d == 1:
-        if pot.periodic:
-            return _psi_weighted(pot, 0.0, 1.0, 1.0, 0.0)
-        return 2.0 * _psi_weighted(pot, 0.0, 1.0, 1.0, -1.0)
-    return _lambda_quad_nd(pot)
-
-
-def _lambda_quad_nd(pot: Potential) -> float:
-    # reduce to the difference coordinates u = x - y; per coordinate the
-    # density is uniform (torus) or triangular (free boundary)
-    d = pot.d
     if pot.periodic:
-        def integrand(*u):
-            return eval_psi(pot, math.sqrt(sum(x * x for x in u)))
-        ranges = [(0.0, 0.5)] * d
-    else:
-        def integrand(*u):
-            w = 1.0
-            for x in u:
-                w *= 1.0 - x
-            return w * eval_psi(pot, math.sqrt(sum(x * x for x in u)))
-        ranges = [(0.0, 1.0)] * d
-    val, _ = integrate.nquad(integrand, ranges, opts={"limit": 100, "epsabs": 1e-10})
-    return 2.0 ** d * val
+        return _psi_weighted(pot, 0.0, 1.0, 1.0, 0.0)
+    return 2.0 * _psi_weighted(pot, 0.0, 1.0, 1.0, -1.0)
 
 
 def _segments(pot: Potential):
@@ -231,13 +205,6 @@ def _psi_weighted(pot: Potential, a: float, b: float, c0: float, c1: float) -> f
     return total
 
 
-def _check_row(pot: Potential, m: int):
-    if pot.d != 1:
-        raise ValueError("pair tables are one dimensional")
-    if m < 2:
-        raise ValueError(f"a pair table needs at least two cells, got {m}")
-
-
 def kernel_row(pot: Potential, m: int) -> np.ndarray:
     """Offset row of the m-cell kernel: entry k averages psi over cell pairs k apart.
 
@@ -245,7 +212,8 @@ def kernel_row(pot: Potential, m: int) -> np.ndarray:
     Under periodic boundaries the mirrored offsets m - k are copied bitwise
     from k, so the circulant matrix of the row is exactly symmetric.
     """
-    _check_row(pot, m)
+    if m < 2:
+        raise ValueError(f"a pair table needs at least two cells, got {m}")
     h = 1.0 / m
     ent = np.empty(m)
     ent[0] = 2.0 * m * m * _psi_weighted(pot, 0.0, h, h, -1.0)
@@ -263,7 +231,6 @@ def kernel_row(pot: Potential, m: int) -> np.ndarray:
 
 def pair_row(pot: Potential, n: int) -> np.ndarray:
     """psi at the n lattice site offsets: psi(k/n), or psi(min(k, n-k)/n) when periodic."""
-    _check_row(pot, n)
     k = np.arange(n, dtype=float)
     if pot.periodic:
         k = np.minimum(k, n - k)
@@ -273,9 +240,9 @@ def pair_row(pot: Potential, n: int) -> np.ndarray:
 def cell_kernel(pot: Potential, m: int) -> KernelMatrix:
     """Assemble the m-by-m matrix of cell-pair averaged interactions.
 
-    Only d = 1 potentials are supported; the matrix is what the continuum
-    functionals consume.  It is the symmetric Toeplitz matrix of
-    :func:`kernel_row`, circulant under periodic boundaries.
+    The matrix is what the continuum functionals consume.  It is the
+    symmetric Toeplitz matrix of :func:`kernel_row`, circulant under
+    periodic boundaries.
     """
     entries = toeplitz(kernel_row(pot, m))
     entries.flags.writeable = False
@@ -285,51 +252,41 @@ def cell_kernel(pot: Potential, m: int) -> KernelMatrix:
 # --- plain-text config block serialization -------------------------------
 
 def to_config(pot: Potential) -> str:
-    """Serialize to a key=value block, one field per line."""
-    lines = [f"kind={pot.kind}"]
+    """Serialize to a ``[potential]`` config section, one key=value per line."""
+    lines = ["[potential]", f"kind={pot.kind}"]
     if pot.kind == POWER_PLATEAU:
         lines += [f"r={pot.r!r}", f"M={pot.M!r}"]
     elif pot.kind == CONSTANT:
         lines.append(f"J={pot.J!r}")
     else:
         lines.append("samples=" + ";".join(f"{t!r}:{v!r}" for t, v in pot.samples))
-    lines += [f"periodic={'true' if pot.periodic else 'false'}", f"d={pot.d}"]
+    lines.append(f"periodic={'true' if pot.periodic else 'false'}")
     return "\n".join(lines)
 
 
 def from_mapping(fields: dict) -> Potential:
-    """Build a Potential from a parsed key/value mapping."""
+    """Build a Potential from a parsed key/value mapping.
+
+    The optional key ``d`` is the dimension; it must be 1.
+    """
     try:
         kind = fields["kind"]
     except KeyError:
         raise ValueError("potential block is missing 'kind'") from None
     periodic = _parse_bool(fields.get("periodic", "true"))
-    d = int(fields.get("d", 1))
+    if int(fields.get("d", 1)) != 1:
+        raise ValueError(f"potentials are one dimensional, got d = {fields['d']}")
     if kind == POWER_PLATEAU:
-        return Potential.power_plateau(float(fields["r"]), float(fields["M"]), periodic, d)
+        return Potential.power_plateau(float(fields["r"]), float(fields["M"]), periodic)
     if kind == CONSTANT:
-        return Potential.constant(float(fields["J"]), periodic, d)
+        return Potential.constant(float(fields["J"]), periodic)
     if kind == TABULATED:
         pairs = []
         for item in fields["samples"].split(";"):
             t, v = item.split(":")
             pairs.append((float(t), float(v)))
-        return Potential.tabulated(pairs, periodic, d)
+        return Potential.tabulated(pairs, periodic)
     raise ValueError(f"unknown potential kind {kind!r}")
-
-
-def from_config(text: str) -> Potential:
-    """Parse the key=value block produced by :func:`to_config`."""
-    fields = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {ln}: expected key=value, got {raw!r}")
-        key, val = line.split("=", 1)
-        fields[key.strip()] = val.strip()
-    return from_mapping(fields)
 
 
 def _parse_bool(s: str) -> bool:

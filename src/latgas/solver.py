@@ -200,8 +200,8 @@ def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT
     sits at cell m/2.  If every start fails the result comes back with
     converged=False and the least-bad diagnostics.
     """
-    if pot.d != 1 or not pot.periodic:
-        raise ValueError("the variational solver is implemented for periodic d = 1")
+    if not pot.periodic:
+        raise ValueError("the variational solver is implemented for periodic boundaries")
     K = kernel if kernel is not None else cell_kernel(pot, m)
     if K.m != m:
         m = K.m

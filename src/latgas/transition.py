@@ -87,7 +87,7 @@ def feasibility_probe(pot: Potential, rho: float, m: int = 2048,
     against the grid quadratic form at resolution m; disagreement beyond
     grid_tol raises.
     """
-    if pot.kind != POWER_PLATEAU or not pot.periodic or pot.d != 1:
+    if pot.kind != POWER_PLATEAU or not pot.periodic:
         raise ValueError("the feasibility probe needs the periodic power/plateau interaction")
     if not 0.0 < rho <= 0.25:
         raise ValueError("the probe is valid for rho in (0, 1/4]")

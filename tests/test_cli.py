@@ -159,6 +159,12 @@ class TestConfigErrors:
         path.write_text("kind = constant\n")
         assert run(["lambda", "--config", str(path)]) == 3
 
+    def test_d2_potential_refused(self, tmp_path, capsys):
+        path = tmp_path / "d2.cfg"
+        path.write_text(CONFIG.replace("d = 1", "d = 2"))
+        assert run(["lambda", "--config", str(path)]) == 3
+        assert "one dimensional" in capsys.readouterr().err
+
     def test_nonpositive_tolerance_rejected(self, tmp_path):
         path = tmp_path / "tol.cfg"
         path.write_text(CONFIG.replace("grid = 64", "grid = 64\nconstraint_tol = -1e-8"))
@@ -175,6 +181,9 @@ class TestInputErrors:
         ["scan", "--deltas=-0.01"],
         ["scan", "--rho", "0.4", "--deltas", "0.01"],
         ["scan", "--grid", "1", "--deltas", "0.01"],
+        ["sample", "--n", "64", "--steps", "0"],
+        ["sample", "--n", "64", "--chains", "0"],
+        ["sample", "--n", "1"],
     ])
     def test_rejected_input_is_config_error(self, cfg, tmp_path, capsys, args):
         assert run(args + ["--config", cfg, "--out", str(tmp_path / "o")]) == 3

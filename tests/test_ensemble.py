@@ -151,7 +151,7 @@ class TestMcmc:
         # window admits only the evenly spread configuration: every swap rejected
         bits = np.zeros(16)
         bits[[0, 4, 8, 12]] = 1
-        cfg = lg.make_config(1, 16, bits)
+        cfg = lg.make_config(16, bits)
         e0 = lg.energy_density(cfg, pot_a2)
         window = lg.EnsembleWindow(xi=e0, rho=0.25, delta=1e-9)
         init = lg.profile(cfg, 16)

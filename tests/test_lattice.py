@@ -7,7 +7,7 @@ import latgas as lg
 
 
 def brute_energy(cfg, pot):
-    """Reference O(n^2) double loop over all ordered site pairs (d = 1)."""
+    """Reference O(n^2) double loop over all ordered site pairs."""
     n = cfg.n
     occ = np.flatnonzero(cfg.occupancy)
     total = 0.0
@@ -21,59 +21,52 @@ def brute_energy(cfg, pot):
 
 
 PSI_ONE = lg.Potential.tabulated([(0.0, 0.0), (1e-9, 1.0), (1.0, 1.0)], periodic=False)
+KNOTS = [(0.0, 0.5), (0.2, 3.0), (0.45, 1.0), (0.9, 2.0)]
 
 
 class TestDensities:
     def test_empty(self):
-        cfg = lg.make_config(1, 6, np.zeros(6))
+        cfg = lg.make_config(6, np.zeros(6))
         assert lg.particle_density(cfg) == 0.0
 
     def test_three_fifths(self):
-        cfg = lg.make_config(1, 5, [1, 1, 0, 1, 0])
+        cfg = lg.make_config(5, [1, 1, 0, 1, 0])
         assert lg.particle_density(cfg) == pytest.approx(0.6)
 
     def test_full(self):
-        cfg = lg.make_config(2, 4, np.ones(16))
+        cfg = lg.make_config(4, np.ones(4))
         assert lg.particle_density(cfg) == 1.0
 
 
 class TestEnergyDensity:
     def test_two_cross_pairs(self):
-        cfg = lg.make_config(1, 4, [1, 1, 0, 0])
+        cfg = lg.make_config(4, [1, 1, 0, 0])
         assert lg.energy_density(cfg, PSI_ONE) == pytest.approx(0.125)
 
     def test_single_site_no_self_energy(self, pot_a2):
-        cfg = lg.make_config(1, 8, [0, 0, 1, 0, 0, 0, 0, 0])
+        cfg = lg.make_config(8, [0, 0, 1, 0, 0, 0, 0, 0])
         assert lg.energy_density(cfg, pot_a2) == 0.0
 
     def test_alternating_vs_brute_force(self, pot_a2):
-        cfg = lg.make_config(1, 8, [1, 0] * 4)
+        cfg = lg.make_config(8, [1, 0] * 4)
         assert lg.energy_density(cfg, pot_a2) == pytest.approx(brute_energy(cfg, pot_a2),
                                                                rel=1e-12)
 
-    def test_random_vs_brute_force(self, pot_a2, rng):
-        bits = (rng.random(16) < 0.4).astype(int)
-        cfg = lg.make_config(1, 16, bits)
-        assert lg.energy_density(cfg, pot_a2) == pytest.approx(brute_energy(cfg, pot_a2),
-                                                               rel=1e-12)
-
-    def test_dimension_mismatch(self, pot_a2):
-        cfg = lg.make_config(2, 3, np.ones(9))
-        with pytest.raises(ValueError):
-            lg.energy_density(cfg, pot_a2)
-
-    def test_d2_torus_runs(self):
-        pot = lg.Potential.constant(1.0, periodic=True, d=2)
-        bits = np.zeros(16)
-        bits[[0, 5, 10]] = 1
-        cfg = lg.make_config(2, 4, bits)
-        # constant psi with self-interaction: E = J k^2 / n^(2d)
-        assert lg.energy_density(cfg, pot) == pytest.approx(9 / 256)
+    def test_random_vs_brute_force(self, rng):
+        for periodic in (True, False):
+            pots = (lg.Potential.power_plateau(0.5, 10.0, periodic=periodic),
+                    lg.Potential.tabulated(KNOTS, periodic=periodic))
+            for pot in pots:
+                for n in (1, 2, 5, 16, 33):
+                    bits = (rng.random(n) < 0.4).astype(int)
+                    cfg = lg.make_config(n, bits)
+                    assert lg.energy_density(cfg, pot) == pytest.approx(
+                        brute_energy(cfg, pot), rel=1e-12), (pot, n, bits)
 
     def test_translation_invariance(self, pot_a2, rng):
         bits = (rng.random(12) < 0.5).astype(int)
-        cfg = lg.make_config(1, 12, bits)
-        rolled = lg.make_config(1, 12, np.roll(bits, 5))
+        cfg = lg.make_config(12, bits)
+        rolled = lg.make_config(12, np.roll(bits, 5))
         assert lg.energy_density(cfg, pot_a2) == pytest.approx(
             lg.energy_density(rolled, pot_a2), rel=1e-12)
 
@@ -81,27 +74,27 @@ class TestEnergyDensity:
 class TestProfile:
     def test_identity_at_same_grid(self):
         bits = [1, 0, 1, 1]
-        cfg = lg.make_config(1, 4, bits)
+        cfg = lg.make_config(4, bits)
         np.testing.assert_array_equal(lg.profile(cfg, 4).values, bits)
 
     def test_block_means(self):
-        cfg = lg.make_config(1, 4, [1, 1, 0, 0])
+        cfg = lg.make_config(4, [1, 1, 0, 0])
         np.testing.assert_allclose(lg.profile(cfg, 2).values, [1.0, 0.0])
-        cfg = lg.make_config(1, 4, [1, 0, 1, 0])
+        cfg = lg.make_config(4, [1, 0, 1, 0])
         np.testing.assert_allclose(lg.profile(cfg, 2).values, [0.5, 0.5])
 
     def test_refinement(self):
-        cfg = lg.make_config(1, 2, [1, 0])
+        cfg = lg.make_config(2, [1, 0])
         np.testing.assert_allclose(lg.profile(cfg, 6).values, [1, 1, 1, 0, 0, 0])
 
     def test_incompatible(self):
-        cfg = lg.make_config(1, 4, [1, 0, 0, 0])
+        cfg = lg.make_config(4, [1, 0, 0, 0])
         with pytest.raises(ValueError):
             lg.profile(cfg, 3)
 
     def test_density_preserved_exactly(self, rng):
         bits = (rng.random(64) < 0.3).astype(int)
-        cfg = lg.make_config(1, 64, bits)
+        cfg = lg.make_config(64, bits)
         assert lg.density_N(lg.profile(cfg, 16)) == lg.particle_density(cfg)
         assert lg.density_N(lg.profile(cfg, 64)) == lg.particle_density(cfg)
 
@@ -125,7 +118,7 @@ class TestRiemannDiscrepancy:
         K = lg.cell_kernel(pot_a2, n)
         for _ in range(100):
             bits = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(int)
-            cfg = lg.make_config(1, n, bits)
+            cfg = lg.make_config(n, bits)
             gap = abs(lg.energy_density(cfg, pot_a2) - lg.xi(lg.profile(cfg, n), K))
             assert gap <= disc + 1e-12
 
@@ -150,15 +143,19 @@ class TestRiemannDiscrepancy:
 
 class TestSerialization:
     def test_roundtrip(self):
-        cfg = lg.make_config(1, 10, [1, 0, 0, 1, 1, 0, 1, 0, 0, 1])
+        cfg = lg.make_config(10, [1, 0, 0, 1, 1, 0, 1, 0, 0, 1])
         back = lg.config_from_text(lg.config_to_text(cfg))
-        assert back.d == cfg.d and back.n == cfg.n
+        assert back.n == cfg.n
         np.testing.assert_array_equal(back.occupancy, cfg.occupancy)
 
     def test_header(self):
-        cfg = lg.make_config(1, 3, [1, 0, 1])
+        cfg = lg.make_config(3, [1, 0, 1])
         assert lg.config_to_text(cfg).splitlines()[0] == "1 3"
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="one dimensional"):
+            lg.config_from_text("2 3\n101010101\n")
+
     def test_site_cap(self):
-        with pytest.raises(ValueError):
-            lg.make_config(2, 10000, np.zeros(10 ** 8))
+        with pytest.raises(ValueError, match="cap"):
+            lg.make_config(lg.lattice.SITE_CAP + 1, np.zeros(4))

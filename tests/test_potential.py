@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 import latgas as lg
+from latgas import cli, potential
 
 
 def quad_lambda(pot):
@@ -69,7 +70,7 @@ class TestIntegratedInteraction:
         assert lam == pytest.approx(quad_lambda(pot_a2), abs=1e-8)
 
     def test_constant(self):
-        assert lg.integrated_interaction(lg.Potential.constant(3.0, d=2)) == 3.0
+        assert lg.integrated_interaction(lg.Potential.constant(3.0)) == 3.0
 
     def test_low_plateau(self):
         pot = lg.Potential.power_plateau(0.5, 4.0)
@@ -137,10 +138,6 @@ class TestCellKernel:
                                  points=[0.25], limit=200, epsabs=1e-13)
         assert K.entries[3, 3 + k] == pytest.approx(m * m * (up + down), rel=1e-10)
 
-    def test_requires_d1(self):
-        with pytest.raises(ValueError):
-            lg.cell_kernel(lg.Potential.constant(1.0, d=2), 8)
-
 
 class TestValidationAndConfig:
     def test_power_plateau_validation(self):
@@ -157,14 +154,21 @@ class TestValidationAndConfig:
 
     @pytest.mark.parametrize("pot", [
         lg.Potential.power_plateau(0.5, 10.0),
-        lg.Potential.constant(3.0, periodic=False, d=2),
+        lg.Potential.constant(3.0, periodic=False),
         lg.Potential.tabulated([(0.0, 0.0), (0.5, 2.0)], periodic=True),
     ])
     def test_config_roundtrip(self, pot):
-        assert lg.from_config(lg.to_config(pot)) == pot
+        text = lg.to_config(pot)
+        assert potential.from_mapping(cli.parse_config(text)["potential"]) == pot
 
     def test_config_format(self, pot_a2):
         text = lg.to_config(pot_a2)
+        assert text.splitlines()[0] == "[potential]"
         assert "kind=power_plateau" in text
         assert "periodic=true" in text
-        assert "d=1" in text
+
+    def test_requires_d1(self):
+        block = {"kind": "constant", "J": "1.0"}
+        assert potential.from_mapping({**block, "d": "1"}) == potential.from_mapping(block)
+        with pytest.raises(ValueError, match="one dimensional"):
+            potential.from_mapping({**block, "d": "2"})
