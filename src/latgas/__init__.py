@@ -49,7 +49,6 @@ from .solver import (
     Multipliers,
     SolveResult,
     align_peak,
-    check_degenerate_branch,
     classify_branch,
     default_seeds,
     solve_entropy,

@@ -6,7 +6,8 @@ flags override file values.  Every command writes deterministic CSV records
 only place a timestamp appears.
 
 Exit codes: 0 success, 1 internal error, 2 infeasible/unconverged, 3 config
-error (a bad config file, or input the library rejects with ValueError).
+error (a bad config file, an unknown section or key, an unreadable profile
+CSV, or input the library rejects with ValueError).
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ EXIT_INFEASIBLE = 2
 EXIT_CONFIG = 3
 
 SCHEMA_VERSION = 1
+
+# the keys each config section takes
+SECTION_KEYS = {"potential": potential.CONFIG_KEYS, "solver": {"grid"},
+                "window": {"xi", "rho", "delta", "deltas"},
+                "run": {"n", "steps", "chains", "seed"}}
 
 
 class ConfigError(ValueError):
@@ -62,18 +68,26 @@ def parse_config(text: str) -> dict:
 
 
 def load_config(path: str | None) -> dict:
+    """Read and parse a config file, refusing sections and keys no command reads."""
     if path is None:
         return {}
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config(p.read_text())
+    sections = parse_config(p.read_text())
+    for name, block in sections.items():
+        if name not in SECTION_KEYS:
+            raise ConfigError(f"unknown config section [{name}]")
+        for key in block:
+            if key not in SECTION_KEYS[name]:
+                raise ConfigError(f"unknown key in [{name}]: {key}")
+    return sections
 
 
 def _potential_from(sections: dict) -> potential.Potential:
     block = sections.get("potential")
     if not block:
-        raise ConfigError("missing [potential] section (or --potential flags)")
+        raise ConfigError("missing [potential] section")
     try:
         return potential.from_mapping(block)
     except (KeyError, ValueError) as exc:
@@ -100,16 +114,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write(path: Path, text: str):
-    path.write_text(text)
-
-
 def _read_profile(path: str) -> functional.OccupancyProfile:
-    """Read a cell_center,value CSV; one that does not parse is an internal error."""
+    """Read a cell_center,value CSV; a missing or unparseable one is a config error."""
     try:
         return functional.profile_from_csv(Path(path).read_text())
-    except ValueError as exc:
-        raise RuntimeError(f"unreadable profile CSV {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"unreadable profile CSV {path}: {exc}") from exc
 
 
 def _json_record(payload: dict) -> str:
@@ -137,25 +147,8 @@ def cmd_lambda(args) -> int:
     pot = _potential_from(sections)
     lam = potential.integrated_interaction(pot)
     print(fmt(lam))
-    _write(_out_dir(args) / "lambda.csv", "lambda\n" + fmt(lam) + "\n")
+    (_out_dir(args) / "lambda.csv").write_text("lambda\n" + fmt(lam) + "\n")
     return EXIT_OK
-
-
-def _solver_tolerances(sections) -> dict:
-    """Optional [solver] tolerance overrides, validated positive."""
-    block = sections.get("solver", {})
-    out = {}
-    for key, kw in (("constraint_tol", "constraint_tol"), ("el_tol", "tol"),
-                    ("noise_floor", "noise_floor")):
-        if key in block:
-            try:
-                val = float(block[key])
-            except ValueError as exc:
-                raise ConfigError(f"bad value for [solver] {key}: {exc}") from exc
-            if not val > 0.0:
-                raise ConfigError(f"[solver] {key} must be positive")
-            out[kw] = val
-    return out
 
 
 def cmd_solve(args) -> int:
@@ -164,10 +157,10 @@ def cmd_solve(args) -> int:
     m = _get(sections, "solver", "grid", int, default=solver.DEFAULT_GRID, flag=args.grid)
     xi_t = _get(sections, "window", "xi", float, flag=args.xi)
     rho = _get(sections, "window", "rho", float, flag=args.rho)
-    result = solver.solve_entropy(pot, xi_t, rho, m=m, **_solver_tolerances(sections))
+    result = solver.solve_entropy(pot, xi_t, rho, m=m)
     out = _out_dir(args)
-    _write(out / "solve_result.json", _json_record(solver.solve_result_to_dict(result)))
-    _write(out / "profile.csv", functional.profile_to_csv(result.profile))
+    (out / "solve_result.json").write_text(_json_record(solver.solve_result_to_dict(result)))
+    (out / "profile.csv").write_text(functional.profile_to_csv(result.profile))
     print(f"converged={'true' if result.converged else 'false'} "
           f"branch={result.branch} S={fmt(result.entropy_S)} "
           f"beta={fmt(result.multipliers.beta)} mu={fmt(result.multipliers.mu)}")
@@ -184,12 +177,12 @@ def cmd_scan(args) -> int:
     if not deltas:
         raise ConfigError("scan needs a nonempty comma-separated delta list")
     try:
-        scan = transition.scan_transition(pot, rho, deltas, m=m, **_solver_tolerances(sections))
+        scan = transition.scan_transition(pot, rho, deltas, m=m)
     except transition.UnscannableCurve as exc:
         raise InfeasibleError(str(exc)) from exc
     out = _out_dir(args)
-    _write(out / "scan.csv", transition.scan_to_csv(scan))
-    _write(out / "scan_summary.json", _json_record(transition.scan_summary_dict(scan)))
+    (out / "scan.csv").write_text(transition.scan_to_csv(scan))
+    (out / "scan_summary.json").write_text(_json_record(transition.scan_summary_dict(scan)))
     print(f"kink_ok={'true' if scan.kink_ok else 'false'} "
           f"left_slope={fmt(scan.left_slope)} right_slope={fmt(scan.right_slope)} "
           f"bound={fmt(scan.kink_lower_bound)}")
@@ -210,17 +203,15 @@ def cmd_sample(args) -> int:
     n = _get(sections, "run", "n", int, flag=args.n)
     steps = _get(sections, "run", "steps", int, default=20000, flag=args.steps)
     chains = _get(sections, "run", "chains", int, default=4, flag=args.chains)
-    seed = args.seed if args.seed is not None else int(sections.get("run", {}).get("seed", 1))
-    init = None
-    if args.init_profile:
-        init = _read_profile(args.init_profile)
+    seed = _get(sections, "run", "seed", int, default=1, flag=args.seed)
+    init = _read_profile(args.init_profile) if args.init_profile else None
     try:
         stats = ensemble.mcmc_sample(n, pot, window, steps, chains, seed, init=init)
     except RuntimeError as exc:  # the anneal found no state in the energy window
         raise InfeasibleError(str(exc)) from exc
     out = _out_dir(args)
-    _write(out / "mcmc_stats.json", _json_record(ensemble.stats_to_dict(stats)))
-    _write(out / "mean_profile.csv", functional.profile_to_csv(stats.mean_profile))
+    (out / "mcmc_stats.json").write_text(_json_record(ensemble.stats_to_dict(stats)))
+    (out / "mean_profile.csv").write_text(functional.profile_to_csv(stats.mean_profile))
     print(f"acceptance_rate={fmt(stats.acceptance_rate)} "
           f"stuck={'true' if stats.stuck_warning else 'false'}")
     return EXIT_OK
@@ -234,8 +225,8 @@ def cmd_enumerate(args) -> int:
     count, emp_S = ensemble.enumerate_entropy(n, pot, window)
     record = ensemble.enumeration_record(n, count, emp_S)
     print(record)
-    _write(_out_dir(args) / "enumeration.csv",
-           "n,count,total,empirical_S\n" + record + "\n")
+    (_out_dir(args) / "enumeration.csv").write_text(
+        "n,count,total,empirical_S\n" + record + "\n")
     return EXIT_OK
 
 
@@ -246,10 +237,10 @@ def cmd_feasibility(args) -> int:
     probe = transition.feasibility_probe(pot, rho)
     verdict = "interior" if probe.interior else "not-certified"
     print(f"xi1={fmt(probe.xi1)} xi2={fmt(probe.xi2)} xi3={fmt(probe.xi3)} {verdict}")
-    _write(_out_dir(args) / "feasibility.csv",
-           "xi1,xi2,xi3,interior\n"
-           f"{fmt(probe.xi1)},{fmt(probe.xi2)},{fmt(probe.xi3)},"
-           f"{'true' if probe.interior else 'false'}\n")
+    (_out_dir(args) / "feasibility.csv").write_text(
+        "xi1,xi2,xi3,interior\n"
+        f"{fmt(probe.xi1)},{fmt(probe.xi2)},{fmt(probe.xi3)},"
+        f"{'true' if probe.interior else 'false'}\n")
     return EXIT_OK if probe.interior else EXIT_INFEASIBLE
 
 
@@ -264,8 +255,8 @@ def cmd_eval(args) -> int:
     x = functional.xi(prof, K)
     dens = functional.density_N(prof)
     print(f"H={fmt(h)} xi={fmt(x)} N={fmt(dens)}")
-    _write(_out_dir(args) / "eval.csv",
-           "H,xi,N\n" + ",".join((fmt(h), fmt(x), fmt(dens))) + "\n")
+    (_out_dir(args) / "eval.csv").write_text(
+        "H,xi,N\n" + ",".join((fmt(h), fmt(x), fmt(dens))) + "\n")
     return EXIT_OK
 
 

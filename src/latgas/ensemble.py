@@ -160,6 +160,8 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
 
     if track_states and n > 60:
         raise ValueError("state tracking is meant for tiny lattices (n <= 60)")
+    if track_every < 1:
+        raise ValueError("track_every must be at least 1")
     state_counts: dict[int, int] | None = {} if track_states else None
     site_bits = 1 << np.arange(n, dtype=np.int64) if track_states else None
 

@@ -164,5 +164,5 @@ def profile_from_csv(text: str, periodic: bool = True) -> OccupancyProfile:
     rows = [ln for ln in text.splitlines() if ln.strip()]
     if not rows or rows[0].strip() != "cell_center,value":
         raise ValueError("profile CSV must start with a cell_center,value header")
-    vals = [float(ln.split(",")[1]) for ln in rows[1:]]
+    vals = [float(ln.partition(",")[2]) for ln in rows[1:]]
     return make_profile(vals, periodic=periodic)

@@ -34,6 +34,9 @@ TABULATED = "tabulated"
 
 _KINDS = (POWER_PLATEAU, CONSTANT, TABULATED)
 
+# the keys a [potential] config section may hold
+CONFIG_KEYS = frozenset({"kind", "r", "M", "J", "samples", "periodic", "d"})
+
 # piecewise breakpoints of the power-law/plateau profile
 _CORE_END = 0.25
 _HALF = 0.5
@@ -267,8 +270,12 @@ def to_config(pot: Potential) -> str:
 def from_mapping(fields: dict) -> Potential:
     """Build a Potential from a parsed key/value mapping.
 
-    The optional key ``d`` is the dimension; it must be 1.
+    The optional key ``d`` is the dimension; it must be 1.  Keys outside
+    CONFIG_KEYS are refused, so a misspelt key cannot fall back to a default.
     """
+    unknown = sorted(set(fields) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
     try:
         kind = fields["kind"]
     except KeyError:

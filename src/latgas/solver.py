@@ -7,7 +7,11 @@ profile takes one path: multipliers (beta, mu) fitted to the seed by least
 squares, then a globalized Newton solve of the joint KKT system in
 (f, beta, mu) with backtracking on the max-norm residual.  solve_entropy
 runs that path from the k-bump seed family (constant plus cos(2 pi k x),
-k = 1..6) and keeps the candidate of maximal entropy.
+k = 1..6) and keeps the candidate of maximal entropy.  Since hbin is convex,
+Jensen's inequality bounds every candidate by S <= -hbin(rho), with equality
+only at the constant profile; so once a seed converges to the constant (on
+the curve xi = lambda rho^2) no later seed can win and the multistart stops.
+The tolerances are the module constants below.
 """
 
 from __future__ import annotations
@@ -20,12 +24,10 @@ from scipy.special import expit
 
 from .functional import (
     OccupancyProfile,
-    apply_kernel,
     density_N,
     entropy_H,
     hbin_prime,
     make_profile,
-    xi,
 )
 from .potential import KernelMatrix, Potential, cell_kernel
 
@@ -61,17 +63,10 @@ class SolveResult:
     candidates: tuple = ()
 
 
-def _as_values(seed) -> np.ndarray:
-    if isinstance(seed, OccupancyProfile):
-        return np.array(seed.values, dtype=float)
-    return np.array(seed, dtype=float).ravel()
-
-
 def _fit_multipliers(K: KernelMatrix, values: np.ndarray, rho: float) -> tuple[float, float]:
-    """Least-squares fit of hbin'(f) ~ mu + beta * (Kf/m) on a seed profile."""
-    v = np.clip(values, 1e-9, 1.0 - 1e-9)
-    psi_f = (K.entries @ v) / K.m
-    rhs = hbin_prime(v)
+    """Least-squares fit of hbin'(f) ~ mu + beta * (Kf/m) on a seed profile inside (0, 1)."""
+    psi_f = (K.entries @ values) / K.m
+    rhs = hbin_prime(values)
     if float(np.ptp(psi_f)) < 1e-12:
         return 0.0, float(np.log(rho / (1.0 - rho)))
     A = np.column_stack([psi_f, np.ones_like(psi_f)])
@@ -131,107 +126,108 @@ def _newton_kkt(K, target_xi, target_rho, f, beta, mu,
     return f, beta, mu, max_iter, halvings
 
 
-def solve_multipliers(K: KernelMatrix, target_xi: float, target_rho: float, seed,
-                      constraint_tol: float = CONSTRAINT_TOL, tol: float = EL_TOL,
-                      noise_floor: float = NOISE_FLOOR) -> SolveResult:
+def solve_multipliers(K: KernelMatrix, target_xi: float, target_rho: float, seed) -> SolveResult:
     """One seed's path: least-squares multipliers, then globalized Newton-KKT.
 
     The seed is clipped into (0, 1), (beta, mu) are fitted to it by least
-    squares, and the Newton-KKT solve runs to the max-norm residual tol.
+    squares, and the Newton-KKT solve runs to the max-norm residual EL_TOL.
     Convergence is judged afresh on the result (constraint gaps within
-    constraint_tol, fixed-point residual below 1e-7), so a stalled run comes
+    CONSTRAINT_TOL, fixed-point residual below 1e-7), so a stalled run comes
     back flagged instead of raising.
     """
     if not 0.0 < target_rho < 1.0:
         raise ValueError("target density must lie in (0, 1)")
-    f = np.clip(_as_values(seed), 1e-9, 1.0 - 1e-9)
+    seed = seed.values if isinstance(seed, OccupancyProfile) else seed
+    f = np.clip(np.asarray(seed, dtype=float).ravel(), 1e-9, 1.0 - 1e-9)
     beta, mu = _fit_multipliers(K, f, target_rho)
-    f, beta, mu, its, halvings = _newton_kkt(K, target_xi, target_rho, f, beta, mu, tol=tol)
-    return _finalize(K, target_xi, target_rho, f, beta, mu, iterations=(its, halvings),
-                     constraint_tol=constraint_tol, noise_floor=noise_floor)
+    f, beta, mu, its, halvings = _newton_kkt(K, target_xi, target_rho, f, beta, mu)
+    return _finalize(K, target_xi, target_rho, f, beta, mu, iterations=(its, halvings))
 
 
-def _finalize(K, target_xi, target_rho, f, beta, mu, iterations,
-              constraint_tol, noise_floor) -> SolveResult:
+def _finalize(K, target_xi, target_rho, f, beta, mu, iterations) -> SolveResult:
+    """Diagnostics of one candidate from a single kernel apply Kf.
+
+    degenerate flags the constraint-dominated stationarity branch: the
+    smoothed field Kf/m constant at xi/rho to 1e-6.
+    """
+    m = K.m
     f = np.clip(np.asarray(f, dtype=float), 0.0, 1.0)
     prof = make_profile(f, periodic=K.periodic)
-    res_xi = abs(xi(prof, K) - target_xi)
+    Kf = K.entries @ f
+    res_xi = abs(float(f @ Kf) / (m * m) - target_xi)
     res_n = abs(density_N(prof) - target_rho)
-    el_res = float(np.max(np.abs(f - expit(mu + beta * (K.entries @ f) / K.m))))
-    converged = (res_xi < constraint_tol * max(1.0, abs(target_xi))
-                 and res_n < constraint_tol and el_res < 1e-7)
-    branch = classify_branch(prof, noise_floor)
-    degen = check_degenerate_branch(prof, K, target_xi, target_rho, tol=1e-6)
+    el_res = float(np.max(np.abs(f - expit(mu + beta * Kf / m))))
+    converged = (res_xi < CONSTRAINT_TOL * max(1.0, abs(target_xi))
+                 and res_n < CONSTRAINT_TOL and el_res < 1e-7)
     return SolveResult(
         profile=prof,
         multipliers=Multipliers(float(beta), float(mu)),
         entropy_S=-entropy_H(prof),
         residuals=(res_xi, res_n),
-        branch=branch,
+        branch=classify_branch(prof),
         iterations=iterations,
         converged=bool(converged),
         el_residual=el_res,
-        degenerate=degen,
+        degenerate=bool(np.max(np.abs(Kf / m - target_xi / target_rho)) < 1e-6),
     )
 
 
-def default_seeds(m: int, rho: float, periodic: bool = True, amplitude: float = 0.5):
-    """The constant profile and rho (1 + amplitude cos 2 pi k x) for k = 1..6.
+def default_seeds(m: int, rho: float):
+    """The constant profile and rho (1 + cos(2 pi k x) / 2) for k = 1..6.
 
-    Above the curve the reference optimizer has three bumps and is reached
-    from the k = 3 seed, so the family has to run past the one- and two-bump
-    shapes.  Values are clipped into (0, 1).
+    The constant comes first, so on the curve it ends the multistart at
+    once.  Above the curve the reference optimizer has three bumps and is
+    reached from the k = 3 seed, so the family has to run past the one- and
+    two-bump shapes.  Values are clipped into (0, 1).
     """
     x = (np.arange(m) + 0.5) / m
     raw = [np.full(m, rho)]
-    raw += [rho * (1.0 + amplitude * np.cos(2.0 * np.pi * k * x)) for k in range(1, 7)]
-    return [make_profile(np.clip(v, 1e-4, 1.0 - 1e-4), periodic=periodic) for v in raw]
+    raw += [rho * (1.0 + 0.5 * np.cos(2.0 * np.pi * k * x)) for k in range(1, 7)]
+    return [make_profile(np.clip(v, 1e-4, 1.0 - 1e-4)) for v in raw]
 
 
 def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT_GRID,
-                  seeds=None, kernel: KernelMatrix | None = None,
-                  **solver_kwargs) -> SolveResult:
+                  seeds=None, kernel: KernelMatrix | None = None) -> SolveResult:
     """Multistart entropy maximization at fixed (xi, rho).
 
-    Runs solve_multipliers from each seed (default_seeds unless given),
-    keeps converged candidates, and returns the one with maximal entropy
-    (ties within 1e-9 go to the profile with fewer peaks, then to the
-    earlier seed).  The winner is circularly shifted so its global maximum
-    sits at cell m/2.  If every start fails the result comes back with
+    Runs solve_multipliers from each seed in order (default_seeds unless
+    given) and returns the converged candidate of maximal entropy; ties
+    within 1e-9 go to the profile with fewer peaks, then to the earlier
+    seed.  The winner is circularly shifted so its global maximum sits at
+    cell m/2.  If every start fails the result comes back with
     converged=False and the least-bad diagnostics.
+
+    The seeds stop after the first one that converges to a profile
+    classified constant (Jensen stop).  No later seed can beat it: hbin is
+    convex, so every profile of density N has S <= -hbin(N); the converged
+    constant attains that bound, so another candidate can exceed it only by
+    the gap between the two density residuals, which the Newton tolerance
+    EL_TOL keeps far inside the 1e-9 tie window; and with 0 peaks the
+    constant wins every tie.  candidates lists the seeds that ran: one on
+    the curve with the default seeds.
     """
     if not pot.periodic:
         raise ValueError("the variational solver is implemented for periodic boundaries")
     K = kernel if kernel is not None else cell_kernel(pot, m)
-    if K.m != m:
-        m = K.m
     if seeds is None:
-        seeds = default_seeds(m, rho)
-    results = [solve_multipliers(K, xi_target, rho, s, **solver_kwargs) for s in seeds]
+        seeds = default_seeds(K.m, rho)
+    results = []
+    for s in seeds:
+        results.append(solve_multipliers(K, xi_target, rho, s))
+        if results[-1].converged and results[-1].branch == "constant":
+            break
 
-    summaries = tuple(
-        {"branch": r.branch, "entropy_S": r.entropy_S, "converged": r.converged,
-         "residuals": r.residuals}
-        for r in results
-    )
+    summaries = tuple({"branch": r.branch, "entropy_S": r.entropy_S, "converged": r.converged,
+                       "residuals": r.residuals} for r in results)
     converged = [(i, r) for i, r in enumerate(results) if r.converged]
     if not converged:
         best = min(results, key=lambda r: max(r.residuals))
-        best.candidates = summaries
-        return best
+        return replace(best, candidates=summaries)
     top = max(r.entropy_S for _, r in converged)
     near = [(i, r) for i, r in converged if r.entropy_S >= top - 1e-9]
     # ties prefer fewer peaks, then the earlier seed (stable order)
     _, best = min(near, key=lambda ir: (_peak_count(ir[1].branch), ir[0]))
-    best = replace_profile(best, align_peak(best.profile))
-    best.candidates = summaries
-    return best
-
-
-def replace_profile(result: SolveResult, prof: OccupancyProfile) -> SolveResult:
-    out = replace(result)
-    out.profile = prof
-    return out
+    return replace(best, profile=align_peak(best.profile), candidates=summaries)
 
 
 def align_peak(prof: OccupancyProfile) -> OccupancyProfile:
@@ -272,37 +268,15 @@ def _cyclic_peak_count(s: np.ndarray, thresh: float, tie_eps: float = 1e-12) -> 
     if nz.size == 0:
         return 0
     # carry the previous slope sign through flat stretches (cyclically)
-    last = sign[nz[-1]]
-    filled = sign.copy()
-    for i in range(n):
-        if filled[i] == 0:
-            filled[i] = last
-        else:
-            last = filled[i]
-    peaks = 0
-    for i in range(n):
-        if filled[i] == 1 and filled[(i + 1) % n] == -1 and s[i] > thresh:
-            peaks += 1
-    return peaks
+    last = np.maximum.accumulate(np.where(sign != 0, np.arange(n), -1))
+    filled = sign[np.where(last < 0, nz[-1], last)]
+    return int(np.sum((filled == 1) & (np.roll(filled, -1) == -1) & (s > thresh)))
 
 
 def _peak_count(branch: str) -> int:
     if branch.startswith("multimodal"):
         return int(branch[len("multimodal("):-1])
     return {"constant": 0, "unimodal": 1}.get(branch, 0)
-
-
-def check_degenerate_branch(f: OccupancyProfile, K: KernelMatrix, xi_target: float,
-                            rho: float, tol: float = 1e-6) -> bool:
-    """True when the smoothed field Kf/m is constant at xi/rho to tol.
-
-    That is the signature of the constraint-dominated stationarity branch,
-    reported as a diagnostic rather than solved for.
-    """
-    if rho == 0.0:
-        raise ValueError("rho must be nonzero")
-    psi_f = apply_kernel(K, f)
-    return bool(np.max(np.abs(psi_f - xi_target / rho)) < tol)
 
 
 def solve_result_to_dict(result: SolveResult) -> dict:

@@ -7,7 +7,8 @@ closed-form test profiles), computes the convexity-gap constant c of the
 shifted binary entropy and the spectral radius sigma of the scaled kernel,
 and scans S across the curve to verify the slope bound c / sigma.  Each
 scan point is one solve_entropy call on a shared kernel: the k-bump seed
-family, each seed taken through the single Newton-KKT path, run in order.
+family, each seed taken through the single Newton-KKT path, run in order
+(on the curve the constant seed alone).
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def spectral_radius(K: KernelMatrix) -> float:
 
 
 def scan_transition(pot: Potential, rho: float, deltas, m: int = 256,
-                    slack: float = 1e-4, **solver_kwargs) -> TransitionScan:
+                    slack: float = 1e-4) -> TransitionScan:
     """Solve S(xi, rho) on and around the curve xi = lambda rho^2.
 
     Requires the feasibility probe to certify the curve point first.  For
@@ -203,7 +204,7 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256,
     targets = [xi0 - d for d in reversed(deltas)] + [xi0] + [xi0 + d for d in deltas]
 
     def run(t):
-        res = solve_entropy(pot, t, rho, m=m, kernel=K, **solver_kwargs)
+        res = solve_entropy(pot, t, rho, m=m, kernel=K)
         x_act = xi(res.profile, K)
         return ScanPoint(
             xi_target=t, xi_actual=x_act,

@@ -165,10 +165,44 @@ class TestConfigErrors:
         assert run(["lambda", "--config", str(path)]) == 3
         assert "one dimensional" in capsys.readouterr().err
 
-    def test_nonpositive_tolerance_rejected(self, tmp_path):
+    def test_misspelt_potential_key_refused(self, tmp_path, capsys):
+        # a typo must not fall back to the default, here the periodic lambda = 7
+        path = tmp_path / "typo.cfg"
+        path.write_text(CONFIG.replace("periodic = true", "perodic = false"))
+        assert run(["lambda", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "config error" in err and "[potential]" in err and "perodic" in err
+
+    def test_removed_solver_key_refused(self, tmp_path, capsys):
+        # the solver tolerances are constants, no longer [solver] keys
         path = tmp_path / "tol.cfg"
-        path.write_text(CONFIG.replace("grid = 64", "grid = 64\nconstraint_tol = -1e-8"))
+        path.write_text(CONFIG.replace("grid = 64", "grid = 64\nel_tol = 1e-10"))
         assert run(["solve", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "config error" in err and "[solver]" in err and "el_tol" in err
+
+    @pytest.mark.parametrize("old, new, name", [
+        ("[solver]", "[solvr]", "[solvr]"),
+        ("delta = 0.01", "delta = 0.01\nwidth = 3", "width"),
+        ("[window]", "[run]\nsteps = 10\nseeds = 2\n\n[window]", "seeds"),
+    ])
+    def test_unknown_section_or_key_refused(self, tmp_path, capsys, old, new, name):
+        path = tmp_path / "unknown.cfg"
+        path.write_text(CONFIG.replace(old, new))
+        assert run(["lambda", "--config", str(path)]) == 3
+        assert name in capsys.readouterr().err
+
+    def test_unreadable_profile_is_config_error(self, cfg, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        header = tmp_path / "header.csv"
+        header.write_text("not,a,profile\n1,2,3\n")
+        row = tmp_path / "row.csv"
+        row.write_text("cell_center,value\n0.25\n0.75,0.5\n")
+        for path in (missing, header, row):
+            for args in (["eval", "--profile", str(path)],
+                         ["sample", "--n", "32", "--init-profile", str(path)]):
+                assert run(args + ["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+                assert "config error: unreadable profile CSV" in capsys.readouterr().err
 
 
 class TestInputErrors:
@@ -193,13 +227,6 @@ class TestInputErrors:
     def test_unused_flags_refused(self, cfg, flag):
         with pytest.raises(SystemExit):
             run(["solve", "--config", cfg, flag, "1"])
-
-
-class TestInternalError:
-    def test_malformed_profile_is_internal_error(self, cfg, tmp_path):
-        bad = tmp_path / "broken.csv"
-        bad.write_text("not,a,profile\n1,2,3\n")
-        assert run(["eval", "--config", cfg, "--profile", str(bad)]) == 1
 
 
 class TestDeterminism:

@@ -166,6 +166,12 @@ class TestMcmc:
         with pytest.raises(RuntimeError):
             lg.mcmc_sample(100, pot_a2, window, steps=100, chains=1, rng_seed=2)
 
+    def test_track_every_must_be_positive(self, pot_a2):
+        window = lg.EnsembleWindow(xi=0.3125, rho=0.25, delta=0.05)
+        with pytest.raises(ValueError, match="track_every"):
+            lg.mcmc_sample(8, pot_a2, window, steps=100, chains=1, rng_seed=99,
+                           track_states=True, track_every=0)
+
     def test_density_window_guard(self, pot_a2):
         with pytest.raises(ValueError):
             lg.mcmc_sample(16, pot_a2, lg.EnsembleWindow(0.4, 0.26, 0.001),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 import latgas as lg
@@ -139,6 +141,13 @@ class TestCellKernel:
         assert K.entries[3, 3 + k] == pytest.approx(m * m * (up + down), rel=1e-10)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# strictly increasing knot positions in [0, 1], each with a finite value
+KNOTS = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6, unique=True).flatmap(
+    lambda ts: st.lists(FINITE, min_size=len(ts), max_size=len(ts)).map(
+        lambda vs: list(zip(sorted(ts), vs))))
+
+
 class TestValidationAndConfig:
     def test_power_plateau_validation(self):
         with pytest.raises(ValueError):
@@ -160,6 +169,22 @@ class TestValidationAndConfig:
     def test_config_roundtrip(self, pot):
         text = lg.to_config(pot)
         assert potential.from_mapping(cli.parse_config(text)["potential"]) == pot
+
+    @given(st.one_of(
+        st.builds(lg.Potential.power_plateau,
+                  st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                  st.floats(0.0, 1e6, exclude_min=True), st.booleans()),
+        st.builds(lg.Potential.constant, FINITE, st.booleans()),
+        st.builds(lg.Potential.tabulated, KNOTS, st.booleans()),
+    ))
+    def test_config_roundtrip_property(self, pot):
+        # every key to_config writes is one that from_mapping accepts
+        text = lg.to_config(pot)
+        assert potential.from_mapping(cli.parse_config(text)["potential"]) == pot
+
+    def test_unknown_key_refused(self):
+        with pytest.raises(ValueError, match="perodic"):
+            potential.from_mapping({"kind": "constant", "J": "1.0", "perodic": "false"})
 
     def test_config_format(self, pot_a2):
         text = lg.to_config(pot_a2)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import latgas as lg
+from latgas import solver
 
 RHO = 0.23
 XI_CURVE = 7.0 * RHO * RHO
@@ -24,8 +27,9 @@ class TestSolveMultipliers:
             assert (m.beta, m.mu) != (0.0, 0.0)
 
     def test_rho_domain(self, kernel256):
-        with pytest.raises(ValueError):
-            lg.solve_multipliers(kernel256, 0.1, 1.5, lg.constant_profile(256, 0.5))
+        for rho in (1.5, 0.0):
+            with pytest.raises(ValueError):
+                lg.solve_multipliers(kernel256, 0.1, rho, lg.constant_profile(256, 0.5))
 
 
 class TestSolveEntropy:
@@ -66,6 +70,21 @@ class TestSolveEntropy:
         assert all("branch" in c and "entropy_S" in c for c in cands)
         assert solve_above.entropy_S == max(c["entropy_S"] for c in cands if c["converged"])
 
+    def test_jensen_stop_on_curve(self, solve_on_curve):
+        # the constant seed comes first and converges: no other seed runs
+        assert len(solve_on_curve.candidates) == 1
+        assert solve_on_curve.candidates[0]["branch"] == "constant"
+
+    def test_jensen_stop_keeps_winner(self, pot_a2, kernel256, solve_on_curve):
+        # with the constant seed last all seven run, and the winner is the same
+        seeds = lg.default_seeds(256, RHO)
+        res = lg.solve_entropy(pot_a2, XI_CURVE, RHO, m=256, kernel=kernel256,
+                               seeds=seeds[1:] + seeds[:1])
+        assert len(res.candidates) == 7
+        assert lg.profile_to_csv(res.profile) == lg.profile_to_csv(solve_on_curve.profile)
+        assert res.multipliers == solve_on_curve.multipliers
+        assert res.entropy_S == solve_on_curve.entropy_S
+
 
 # solve_entropy at m = 256 on the reference potential, recorded from the
 # five-strategy solver this package used before the single Newton-KKT path
@@ -93,7 +112,32 @@ def test_regression_table(pot_a2, kernel256, rho, dxi, branch, S):
     assert res.entropy_S == pytest.approx(S, abs=1e-9)
 
 
+def loop_peak_count(s, thresh, tie_eps=1e-12):
+    """Reference: cyclic local maxima above thresh, flat stretches carrying the
+    previous slope sign, counted with plain loops."""
+    n = s.size
+    d = s - np.roll(s, 1)
+    sign = [1 if x > tie_eps else -1 if x < -tie_eps else 0 for x in d]
+    if not any(sign):
+        return 0
+    last = [x for x in sign if x][-1]
+    filled = list(sign)
+    for i in range(n):
+        if filled[i] == 0:
+            filled[i] = last
+        else:
+            last = filled[i]
+    return sum(1 for i in range(n)
+               if filled[i] == 1 and filled[(i + 1) % n] == -1 and s[i] > thresh)
+
+
 class TestBranchDiagnostics:
+    @given(st.lists(st.integers(0, 3), min_size=3, max_size=40), st.integers(-1, 3))
+    def test_peak_count_matches_loop(self, levels, thresh):
+        # small integer levels give plateaus, which must count once
+        s = np.array(levels, dtype=float)
+        assert solver._cyclic_peak_count(s, thresh) == loop_peak_count(s, thresh)
+
     def test_classify_constant(self):
         assert lg.classify_branch(lg.constant_profile(256, RHO)) == "constant"
 
@@ -111,18 +155,11 @@ class TestBranchDiagnostics:
         with pytest.raises(ValueError):
             lg.classify_branch(lg.constant_profile(16, 0.3, periodic=False))
 
-    def test_degenerate_constant_on_curve(self, kernel256):
-        f = lg.constant_profile(256, RHO)
-        assert lg.check_degenerate_branch(f, kernel256, XI_CURVE, RHO)
+    def test_degenerate_constant_on_curve(self, solve_on_curve):
+        assert solve_on_curve.degenerate
 
-    def test_degenerate_false_off_curve(self, kernel256, solve_below):
-        assert not lg.check_degenerate_branch(solve_below.profile, kernel256,
-                                              XI_CURVE - 0.02, RHO)
-
-    def test_degenerate_needs_mass(self, kernel256):
-        with pytest.raises(ValueError):
-            lg.check_degenerate_branch(lg.constant_profile(256, 0.0), kernel256,
-                                       0.1, 0.0)
+    def test_degenerate_false_off_curve(self, solve_below):
+        assert not solve_below.degenerate
 
 
 class TestOptimizerInvariants:
