@@ -18,7 +18,7 @@ window = lg.EnsembleWindow(xi=lam * 0.25 ** 2, rho=0.25, delta=0.05)
 target = -lg.hbin(0.25)
 print(f"window: xi={window.xi}, rho={window.rho}, delta={window.delta}")
 print(f"continuum entropy at the curve: {target:.6f}")
-for n in (12, 16, 20):
+for n in (12, 16, 20, 24):
     count, emp = lg.enumerate_entropy(n, pot, window)
     print("  " + lg.enumeration_record(n, count, emp) + f"   gap={abs(emp - target):.4f}")
 print("(finite-size corrections shrink as n grows, but slowly)")

@@ -4,10 +4,11 @@ Monte Carlo sampling.
 The microcanonical window keeps the energy density in (xi - delta, xi + delta)
 and the particle density in (rho - delta, rho + delta).  Enumeration counts
 every configuration inside the window exactly (meet-in-the-middle over two
-half-lattices, so n up to 24 stays fast).  The sampler fixes the particle
-number at round(rho n), proposes occupied <-> empty swaps and accepts exactly
-when the energy stays in its window; symmetric proposals with indicator
-acceptance make the stationary law uniform on the constrained slice.
+half-lattices, paired only in the popcount blocks of admissible particle
+numbers).  The sampler fixes the particle number at round(rho n), proposes
+occupied <-> empty swaps and accepts exactly when the energy stays in its
+window; symmetric proposals with indicator acceptance make the stationary
+law uniform on the constrained slice.  Each visited state is aligned once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .functional import OccupancyProfile, block_average, make_profile
 from .potential import Potential, pair_row
 
 ENUM_CAP = 24
-ENUM_CHUNK = 512  # rows of the half-lattice product per window test
 BURN_IN = 0.2  # fraction of each chain discarded before averaging
 ANNEAL_TRIES_PER_SITE = 500  # the anneal gives up after this many proposals per site
 
@@ -70,9 +70,11 @@ def _bit_matrix(bits: int) -> np.ndarray:
 def enumerate_entropy(n: int, pot: Potential, window: EnsembleWindow) -> tuple[int, float]:
     """Exact count of window configurations and n^-1 log(count / 2^n).
 
-    Splits the chain into two halves and assembles all 2^n pair energies from
-    half-lattice tables, so the scan is a handful of matrix products.  An
-    empty window returns count 0 and a -inf entropy marker.
+    Splits the chain into two halves and groups each half's masks by
+    popcount.  For every particle number p inside the density window and
+    every split p = pA + pB, one matrix product of the two half-lattice
+    blocks gives all their pair energies.  An empty window returns count 0
+    and a -inf entropy marker.
     """
     if n > ENUM_CAP:
         raise ValueError(
@@ -94,17 +96,18 @@ def enumerate_entropy(n: int, pot: Potential, window: EnsembleWindow) -> tuple[i
     hi_e = (window.xi + window.delta) * n * n
     lo_p = (window.rho - window.delta) * n
     hi_p = (window.rho + window.delta) * n
-    XBT = XB.T
     count = 0
-    for s in range(0, XA.shape[0], ENUM_CHUNK):
-        E = eA[s:s + ENUM_CHUNK, None] + 2.0 * (cross[s:s + ENUM_CHUNK] @ XBT) + eB[None, :]
-        P = popA[s:s + ENUM_CHUNK, None] + popB[None, :]
-        ok = (E > lo_e) & (E < hi_e) & (P > lo_p) & (P < hi_p)
-        count += int(ok.sum())
-    total = 1 << n
+    for p in range(n + 1):
+        if not lo_p < p < hi_p:
+            continue
+        for pA in range(max(0, p - n2), min(n1, p) + 1):
+            a = popA == pA
+            b = popB == p - pA
+            E = eA[a, None] + 2.0 * (cross[a] @ XB[b].T) + eB[None, b]
+            count += int(((E > lo_e) & (E < hi_e)).sum())
     if count == 0:
         return 0, -math.inf
-    return count, math.log(count / total) / n
+    return count, math.log(count / (1 << n)) / n
 
 
 def enumeration_record(n: int, count: int, empirical_S: float) -> str:
@@ -118,11 +121,14 @@ def _smooth_cyclic(values: np.ndarray, width: int) -> np.ndarray:
     return (cs[width:width + values.size] - cs[:values.size]) / width
 
 
-def _align_shift(sample_sm: np.ndarray, reference: np.ndarray) -> int:
-    """Circular shift of the sample that best correlates with the reference."""
-    corr = np.fft.irfft(np.fft.rfft(reference) * np.conj(np.fft.rfft(sample_sm)),
-                        sample_sm.size)
-    return int(np.argmax(corr))
+def _aligned(values: np.ndarray, width: int, spectrum: np.ndarray | None) -> np.ndarray:
+    """Roll values so that their smoothed copy best correlates with the
+    reference whose smoothed rfft is `spectrum`; None leaves them in place."""
+    if spectrum is None:
+        return values
+    corr = np.fft.irfft(spectrum * np.conj(np.fft.rfft(_smooth_cyclic(values, width))),
+                        values.size)
+    return np.roll(values, int(np.argmax(corr)))
 
 
 def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
@@ -136,14 +142,18 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     after the burn-in fraction BURN_IN are circularly aligned before averaging
     when an init profile pins the frame: each sample, smoothed over
     max(3, n // 16) cells, is cross-correlated against the smoothed init
-    template.  Without a template samples pass through unshifted (aligning
-    featureless chains by any max-correlation rule would stack their noise
-    into an artificial lump; the collective pattern drifts slowly enough
-    that unaligned chain means stay sharp), and chain means are re-aligned
-    onto each other before merging.  The mean profile is finally rolled so
-    its peak sits at the center cell.  A full sweep with zero acceptances
-    sets a stuck-chain warning in the stats.
+    template, whose spectrum is taken once.  Each visited state is aligned
+    once and added with its dwell count (post-burn steps it held).  Without
+    a template samples pass through unshifted (aligning featureless chains
+    by any max-correlation rule would stack their noise into an artificial
+    lump; the collective pattern drifts slowly enough that unaligned chain
+    means stay sharp), and chain means are re-aligned onto each other before
+    merging.  The mean profile is finally rolled so its peak sits at the
+    center cell.  A full sweep with zero acceptances sets a stuck-chain
+    warning in the stats.
     """
+    if steps < 1 or chains < 1:
+        raise ValueError("steps and chains must be at least 1")
     k = int(round(window.rho * n))
     if not window.rho - window.delta < k / n < window.rho + window.delta:
         raise ValueError("round(rho n)/n leaves the density window; enlarge delta or n")
@@ -157,6 +167,8 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     children = np.random.SeedSequence(rng_seed).spawn(chains)
 
     init_values = block_average(init.values, n) if init is not None else None
+    template = (np.fft.rfft(_smooth_cyclic(init_values, width))
+                if init_values is not None else None)
 
     if track_states and n > 60:
         raise ValueError("state tracking is meant for tiny lattices (n <= 60)")
@@ -165,9 +177,7 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     state_counts: dict[int, int] | None = {} if track_states else None
     site_bits = 1 << np.arange(n, dtype=np.int64) if track_states else None
 
-    samples_total = 0
     accepted_total = 0
-    proposals_total = 0
     e_sum = 0.0
     e_min = math.inf
     e_max = -math.inf
@@ -181,9 +191,7 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
         occ_idx = np.flatnonzero(occ)
         emp_idx = np.flatnonzero(~occ)
         chain_profile = np.zeros(n)
-        chain_samples = 0
-        template_sm = (_smooth_cyclic(init_values, width)
-                       if init_values is not None else None)
+        dwell = 0  # post-burn steps the current state has held
         rejects_in_row = 0
         for t in range(steps):
             a = rng.integers(k)
@@ -192,8 +200,10 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
             j = emp_idx[b]
             dE = (-2.0 * s[i] + psi[i, i] + 2.0 * (s[j] - psi[i, j]) + psi[j, j])
             E_new = E + dE
-            proposals_total += 1
             if lo < E_new < hi:
+                if dwell:
+                    chain_profile += dwell * _aligned(occ.astype(float), width, template)
+                    dwell = 0
                 occ_idx[a] = j
                 emp_idx[b] = i
                 occ[i] = False
@@ -207,13 +217,7 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
                 if rejects_in_row >= n:
                     stuck = True
             if t >= burn:
-                occf = occ.astype(float)
-                if template_sm is not None:
-                    shift = _align_shift(_smooth_cyclic(occf, width), template_sm)
-                    chain_profile += np.roll(occf, shift)
-                else:
-                    chain_profile += occf
-                chain_samples += 1
+                dwell += 1
                 e_density = float(E) / (n * n)
                 e_sum += e_density
                 e_min = min(e_min, e_density)
@@ -221,17 +225,13 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
                 if state_counts is not None and (t - burn) % track_every == 0:
                     key = int(site_bits[occ].sum())
                     state_counts[key] = state_counts.get(key, 0) + 1
-        if chain_samples:
-            chain_means.append(chain_profile / chain_samples)
-            samples_total += chain_samples
+        chain_profile += dwell * _aligned(occ.astype(float), width, template)
+        chain_means.append(chain_profile / (steps - burn))
 
-    if not chain_means:
-        raise ValueError("no samples collected; increase steps")
     # merge chains coherently: align every chain mean onto the first one
     merged = chain_means[0].copy()
     for cm in chain_means[1:]:
-        shift = _align_shift(_smooth_cyclic(cm, width), _smooth_cyclic(merged, width))
-        merged += np.roll(cm, shift)
+        merged += _aligned(cm, width, np.fft.rfft(_smooth_cyclic(merged, width)))
     merged /= len(chain_means)
     merged = np.roll(merged, n // 2 - int(np.argmax(_smooth_cyclic(merged, width))))
     mean_profile = make_profile(np.clip(merged, 0.0, 1.0), periodic=True)
@@ -240,11 +240,11 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
         n=n, chains=chains, steps=steps,
         accepted_moves=accepted_total,
         mean_profile=mean_profile,
-        energy_trace_summary=(e_sum / max(samples_total * 1.0, 1.0), e_min, e_max),
+        energy_trace_summary=(e_sum / (chains * (steps - burn)), e_min, e_max),
         seed=int(rng_seed),
         particles=k,
-        proposals=proposals_total,
-        acceptance_rate=accepted_total / max(proposals_total, 1),
+        proposals=chains * steps,
+        acceptance_rate=accepted_total / (chains * steps),
         stuck_warning=stuck,
         state_counts=state_counts,
     )

@@ -97,12 +97,15 @@ def _newton_kkt(K, target_xi, target_rho, f, beta, mu,
     f = np.clip(np.array(f, dtype=float), 1e-14, 1.0 - 1e-14)
     Kf_m, s, R, rn = residual(f, beta, mu)
     halvings = 0
+    J = np.zeros((m + 2, m + 2))
+    block = np.empty((m, m))
     for it in range(max_iter):
         if rn < tol:
             return f, beta, mu, it, halvings
         sp = s * (1.0 - s)
-        J = np.zeros((m + 2, m + 2))
-        J[:m, :m] = eye - (sp[:, None] * A) * (beta / m)
+        np.multiply(sp[:, None], A, out=block)
+        block *= beta / m
+        np.subtract(eye, block, out=J[:m, :m])
         J[:m, m] = -sp * Kf_m
         J[:m, m + 1] = -sp
         J[m, :m] = 2.0 * Kf_m / m

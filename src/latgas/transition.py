@@ -21,13 +21,13 @@ import numpy as np
 from .functional import (
     constant_profile,
     hbin,
-    hbin_prime,
-    hbin_second,
     indicator_profile,
     xi,
 )
 from .potential import CONSTANT, POWER_PLATEAU, KernelMatrix, Potential, cell_kernel, integrated_interaction
 from .solver import solve_entropy
+
+KINK_SLACK = 1e-4  # tolerance of the scan's entropy-drop check
 
 
 class UnscannableCurve(ValueError):
@@ -113,53 +113,25 @@ def feasibility_probe(pot: Potential, rho: float, m: int = 2048,
                             grid_xi=grid, max_grid_error=max(errs))
 
 
-def convexity_gap_constant(rho: float, grid_points: int = 100_000) -> float:
+def convexity_gap_constant(rho: float) -> float:
     """Minimum of (hbin(rho+t) - hbin'(rho) t - hbin(rho)) / t^2 over t != 0.
 
-    Scans a dense grid on [-rho, 1-rho], replaces the indeterminate ratio for
-    |t| < 1e-6 with the limit hbin''(rho)/2, and refines the grid minimum by
-    golden-section search.
+    The numerator is the Bregman gap of hbin, which equals
+    KL(Bern(rho+t) || Bern(rho)).  Its minimum over t, divided by t^2, is
+    attained at t = 1 - 2 rho and has the closed form
+    c = 2 atanh(1 - 2 rho) / (1 - 2 rho) = log((1 - rho) / rho) / (1 - 2 rho),
+    with the limit c = 2 at rho = 1/2 (Ordentlich and Weinberger, IEEE Trans.
+    Inf. Theory 51, 2005).  c is symmetric under rho -> 1 - rho; evaluating
+    log1p(u / r) / u with r = min(rho, 1 - rho), u = 1 - 2 r stays accurate
+    as rho approaches 0 or 1, where atanh(1 - 2 rho) loses every digit.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    h0 = float(hbin(rho))
-    h1 = float(hbin_prime(rho))
-    limit = float(hbin_second(rho)) / 2.0
-
-    def ratio(t: float) -> float:
-        if abs(t) < 1e-6:
-            return limit
-        return (float(hbin(rho + t)) - h1 * t - h0) / (t * t)
-
-    ts = np.linspace(-rho, 1.0 - rho, grid_points)
-    vals = np.empty_like(ts)
-    small = np.abs(ts) < 1e-6
-    tt = ts[~small]
-    vals[~small] = (hbin(rho + tt) - h1 * tt - h0) / (tt * tt)
-    vals[small] = limit
-    i = int(np.argmin(vals))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, grid_points - 1)]
-    refined = _golden_min(ratio, lo, hi)
-    return min(float(vals[i]), refined, limit)
-
-
-def _golden_min(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return min(fc, fd)
+    r = min(rho, 1.0 - rho)
+    u = 1.0 - 2.0 * r
+    if u == 0.0:
+        return 2.0
+    return math.log1p(u / r) / u
 
 
 def spectral_radius(K: KernelMatrix) -> float:
@@ -175,14 +147,13 @@ def spectral_radius(K: KernelMatrix) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(K.entries / K.m))))
 
 
-def scan_transition(pot: Potential, rho: float, deltas, m: int = 256,
-                    slack: float = 1e-4) -> TransitionScan:
+def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> TransitionScan:
     """Solve S(xi, rho) on and around the curve xi = lambda rho^2.
 
     Requires the feasibility probe to certify the curve point first.  For
     each delta the scan solves at xi = lambda rho^2 +/- delta, estimates the
     one-sided slopes by Richardson extrapolation of the two smallest secants,
-    and checks the entropy-drop bound S - S_curve <= -(c/sigma) |dxi| + slack.
+    and checks the entropy-drop bound S - S_curve <= -(c/sigma) |dxi| + KINK_SLACK.
     Failed solves become failure markers, not exceptions.
     """
     if pot.kind == CONSTANT:
@@ -224,7 +195,7 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256,
         if pt.xi_target == xi0 or not pt.converged:
             continue
         drop = pt.S + h_rho
-        if drop > -bound * abs(pt.xi_actual - xi0) + slack:
+        if drop > -bound * abs(pt.xi_actual - xi0) + KINK_SLACK:
             kink_ok = False
 
     left = [p for p in points[:mid] if p.converged]

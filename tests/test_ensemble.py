@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import latgas as lg
+from latgas import ensemble
 
 RHO = 0.23
 XI_CURVE = 7.0 * RHO * RHO
@@ -32,6 +33,78 @@ def slice_configs(n, pot, window):
     return out
 
 
+def reference_sample(n, pot, window, steps, chains, rng_seed, init=None,
+                     track_states=False, track_every=1):
+    """Plain per-step sampler: every post-burn step aligns and adds its state.
+
+    Same draws, anneal and merge as mcmc_sample, but no dwell bookkeeping, so
+    it is the oracle for the one-alignment-per-visited-state accumulation.
+    """
+    k = int(round(window.rho * n))
+    psi = ensemble._pair_matrix(pot, n)
+    lo = (window.xi - window.delta) * n * n
+    hi = (window.xi + window.delta) * n * n
+    width = max(3, n // 16)
+    burn = int(steps * ensemble.BURN_IN)
+    smooth = ensemble._smooth_cyclic
+
+    def shift_onto(values, reference):
+        corr = np.fft.irfft(np.fft.rfft(smooth(reference, width))
+                            * np.conj(np.fft.rfft(smooth(values, width))), n)
+        return int(np.argmax(corr))
+
+    init_values = lg.block_average(init.values, n) if init is not None else None
+    state_counts = {} if track_states else None
+    accepted = proposals = samples = 0
+    e_sum, e_min, e_max = 0.0, math.inf, -math.inf
+    stuck = False
+    chain_means = []
+    for child in np.random.SeedSequence(rng_seed).spawn(chains):
+        rng = np.random.Generator(np.random.Philox(child))
+        occ = ensemble._initial_config(n, k, init_values, rng)
+        occ, s, E = ensemble._anneal_into_window(psi, occ, lo, hi, rng)
+        occ_idx = np.flatnonzero(occ)
+        emp_idx = np.flatnonzero(~occ)
+        profile = np.zeros(n)
+        rejects_in_row = 0
+        for t in range(steps):
+            a = rng.integers(k)
+            b = rng.integers(n - k)
+            i, j = occ_idx[a], emp_idx[b]
+            E_new = E + (-2.0 * s[i] + psi[i, i] + 2.0 * (s[j] - psi[i, j]) + psi[j, j])
+            proposals += 1
+            if lo < E_new < hi:
+                occ_idx[a], emp_idx[b] = j, i
+                occ[i], occ[j] = False, True
+                s += psi[j] - psi[i]
+                E = E_new
+                accepted += 1
+                rejects_in_row = 0
+            else:
+                rejects_in_row += 1
+                stuck = stuck or rejects_in_row >= n
+            if t >= burn:
+                occf = occ.astype(float)
+                shift = shift_onto(occf, init_values) if init_values is not None else 0
+                profile += np.roll(occf, shift)
+                samples += 1
+                e = float(E) / (n * n)
+                e_sum += e
+                e_min, e_max = min(e_min, e), max(e_max, e)
+                if track_states and (t - burn) % track_every == 0:
+                    key = int(sum(1 << int(c) for c in np.flatnonzero(occ)))
+                    state_counts[key] = state_counts.get(key, 0) + 1
+        chain_means.append(profile / (steps - burn))
+    merged = chain_means[0].copy()
+    for cm in chain_means[1:]:
+        merged += np.roll(cm, shift_onto(cm, merged))
+    merged /= len(chain_means)
+    merged = np.roll(merged, n // 2 - int(np.argmax(smooth(merged, width))))
+    return dict(mean_profile=np.clip(merged, 0.0, 1.0), accepted_moves=accepted,
+                proposals=proposals, state_counts=state_counts, stuck_warning=stuck,
+                energy_trace_summary=(e_sum / samples, e_min, e_max))
+
+
 class TestEnumerate:
     def test_everything_window(self, pot_a2):
         count, S = lg.enumerate_entropy(10, pot_a2, lg.EnsembleWindow(0.0, 0.5, 1e9))
@@ -48,10 +121,22 @@ class TestEnumerate:
         assert count == 0
         assert S == -math.inf
 
-    def test_against_direct_scan(self, pot_a2):
-        window = lg.EnsembleWindow(xi=XI_CURVE, rho=0.3, delta=0.08)
-        count, _ = lg.enumerate_entropy(10, pot_a2, window)
-        assert count == len(slice_configs(10, pot_a2, window))
+    @pytest.mark.parametrize("n,xi,rho,delta", [
+        pytest.param(10, XI_CURVE, 0.3, 0.08, id="even-n"),
+        pytest.param(11, XI_CURVE, 0.3, 0.08, id="odd-n"),  # the halves differ in size
+        pytest.param(9, 0.63, 0.3, 0.1, id="odd-n-9"),
+        pytest.param(10, 0.05, 0.05, 0.1, id="density-below-0"),  # rho - delta < 0
+        pytest.param(10, 5.5, 0.9, 0.65, id="density-above-1"),  # rho + delta > 1
+        # integer particle-number bounds (3 and 6; 1 and 3) with energies inside the
+        # window: only the strict ends keep p = 3 out of both
+        pytest.param(12, 0.35, 0.375, 0.125, id="integer-bounds-12"),
+        pytest.param(8, 0.4, 0.25, 0.125, id="integer-bounds-8"),
+    ])
+    def test_against_direct_scan(self, pot_a2, n, xi, rho, delta):
+        window = lg.EnsembleWindow(xi=xi, rho=rho, delta=delta)
+        count, _ = lg.enumerate_entropy(n, pot_a2, window)
+        assert count > 0
+        assert count == len(slice_configs(n, pot_a2, window))
 
     @pytest.mark.parametrize("n,expected", [(12, 40), (16, 308), (20, 4520)])
     def test_reference_window_counts(self, pot_a2, n, expected):
@@ -183,6 +268,37 @@ class TestMcmc:
         b = lg.mcmc_sample(32, pot_a2, window, steps=3000, chains=2, rng_seed=11)
         np.testing.assert_array_equal(a.mean_profile.values, b.mean_profile.values)
         assert a.accepted_moves == b.accepted_moves
+
+    @pytest.mark.parametrize("n,steps,chains,with_init,track", [
+        (32, 3000, 1, True, False),
+        (32, 3000, 1, False, False),
+        (32, 2500, 2, True, False),
+        (32, 7, 2, True, False),
+        (32, 2000, 2, False, False),
+        (8, 4000, 1, False, True),
+        (8, 7, 1, False, True),
+    ])
+    def test_matches_per_step_reference(self, pot_a2, solve_below, n, steps, chains,
+                                        with_init, track):
+        window = lg.EnsembleWindow(xi=XI_CURVE - 0.02 if n > 8 else 0.3125,
+                                   rho=RHO if n > 8 else 0.25, delta=0.05)
+        init = solve_below.profile if with_init else None
+        kw = dict(track_states=True, track_every=3) if track else {}
+        stats = lg.mcmc_sample(n, pot_a2, window, steps=steps, chains=chains, rng_seed=17,
+                               init=init, **kw)
+        ref = reference_sample(n, pot_a2, window, steps, chains, 17, init=init, **kw)
+        np.testing.assert_array_equal(stats.mean_profile.values, ref["mean_profile"])
+        assert stats.accepted_moves == ref["accepted_moves"]
+        assert stats.proposals == ref["proposals"]
+        assert stats.state_counts == ref["state_counts"]
+        assert stats.stuck_warning == ref["stuck_warning"]
+        assert stats.energy_trace_summary == ref["energy_trace_summary"]
+
+    @pytest.mark.parametrize("steps,chains", [(0, 1), (10, 0)])
+    def test_empty_run_refused(self, pot_a2, steps, chains):
+        window = lg.EnsembleWindow(xi=XI_CURVE, rho=RHO, delta=0.05)
+        with pytest.raises(ValueError, match="at least 1"):
+            lg.mcmc_sample(32, pot_a2, window, steps=steps, chains=chains, rng_seed=1)
 
 
 class TestCompareProfile:
