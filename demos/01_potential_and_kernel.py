@@ -4,7 +4,8 @@
 Builds the plateau'd power-law interaction (r = 1/2, M = 10, periodic),
 checks the closed-form integrated interaction against quadrature, and shows
 that the cell-averaged kernel is circulant with every row averaging to the
-integrated interaction.
+integrated interaction.  The kernel is stored as its offset row, so both
+checks read the row; the dense 256 x 256 table is never built.
 """
 
 import numpy as np
@@ -25,12 +26,11 @@ quad, _ = integrate.quad(lambda t: lg.eval_psi(pot, t), 0, 1,
 print(f"\nintegrated interaction: closed form {lam}, quadrature {quad:.12f}")
 
 K = lg.cell_kernel(pot, 256)
-rows = K.entries.mean(axis=1)
-print(f"kernel 256x256: symmetric={np.array_equal(K.entries, K.entries.T)}, "
-      f"row means in [{rows.min():.12f}, {rows.max():.12f}]")
-
-idx = (np.arange(256)[None, :] - np.arange(256)[:, None]) % 256
-print("circulant check:", np.array_equal(K.entries, K.entries[0][idx]))
+# the table is entry (i, j) = row[(j - i) mod m]: circulant by construction,
+# and symmetric exactly when the mirrored offsets agree, row[k] == row[m - k]
+mirrored = np.array_equal(K.row[1:], K.row[:0:-1])
+print(f"kernel 256x256 from its row: symmetric={mirrored}, "
+      f"every row averages to {K.row.mean():.12f}")
 
 print("\nRiemann gap between lattice sums and cell integrals:")
 for n in (32, 64, 128, 256):

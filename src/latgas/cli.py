@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="key=value config file with [section] headers")
         p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--grid", type=int, help="profile grid size m")
 
     p = sub.add_parser("lambda", help="print the integrated interaction")
     common(p)
@@ -279,12 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="entropy-maximizing profile at (xi, rho)")
     common(p)
+    p.add_argument("--grid", type=int, help="profile grid size m")
     p.add_argument("--xi", type=float)
     p.add_argument("--rho", type=float)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("scan", help="entropy scan across the transition curve")
     common(p)
+    p.add_argument("--grid", type=int, help="profile grid size m")
     p.add_argument("--rho", type=float)
     p.add_argument("--deltas", help="comma-separated offsets from the curve")
     p.set_defaults(fn=cmd_scan)

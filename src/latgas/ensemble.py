@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .functional import OccupancyProfile, block_average, make_profile
+from .functional import OccupancyProfile, block_average, make_profile, profile_to_dict
 from .potential import Potential, pair_row
 
 ENUM_CAP = 24
@@ -57,11 +57,6 @@ class McmcStats:
     state_counts: dict | None = None
 
 
-def _pair_matrix(pot: Potential, n: int) -> np.ndarray:
-    """psi evaluated at every ordered site-pair distance (diagonal included)."""
-    return toeplitz(pair_row(pot, n))
-
-
 def _bit_matrix(bits: int) -> np.ndarray:
     masks = np.arange(1 << bits, dtype=np.int64)
     return ((masks[:, None] >> np.arange(bits)[None, :]) & 1).astype(float)
@@ -82,7 +77,7 @@ def enumerate_entropy(n: int, pot: Potential, window: EnsembleWindow) -> tuple[i
             f"the cap is {ENUM_CAP}")
     if n < 2:
         raise ValueError("n must be at least 2")
-    psi = _pair_matrix(pot, n)
+    psi = toeplitz(pair_row(pot, n))
     n1 = n // 2
     n2 = n - n1
     XA = _bit_matrix(n1)
@@ -159,7 +154,7 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
         raise ValueError("round(rho n)/n leaves the density window; enlarge delta or n")
     if k <= 0 or k >= n:
         raise ValueError("particle count must be strictly between 0 and n")
-    psi = _pair_matrix(pot, n)
+    psi = toeplitz(pair_row(pot, n))
     lo = (window.xi - window.delta) * n * n
     hi = (window.xi + window.delta) * n * n
     width = max(3, n // 16)
@@ -234,7 +229,7 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
         merged += _aligned(cm, width, np.fft.rfft(_smooth_cyclic(merged, width)))
     merged /= len(chain_means)
     merged = np.roll(merged, n // 2 - int(np.argmax(_smooth_cyclic(merged, width))))
-    mean_profile = make_profile(np.clip(merged, 0.0, 1.0), periodic=True)
+    mean_profile = make_profile(np.clip(merged, 0.0, 1.0))
 
     return McmcStats(
         n=n, chains=chains, steps=steps,
@@ -330,9 +325,5 @@ def stats_to_dict(stats: McmcStats) -> dict:
         "seed": stats.seed,
         "rng_name": stats.rng_name,
         "stuck_warning": stats.stuck_warning,
-        "mean_profile": {
-            "m": stats.mean_profile.m,
-            "periodic": stats.mean_profile.periodic,
-            "values": [float(v) for v in stats.mean_profile.values],
-        },
+        "mean_profile": profile_to_dict(stats.mean_profile),
     }

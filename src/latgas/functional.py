@@ -3,7 +3,9 @@
 Profiles are piecewise-constant functions on a uniform grid of [0, 1] with
 values in [0, 1]; the functionals are the shifted binary entropy rate
 H(f) = mean(hbin(f_i)), the kernel quadratic form xi(f) = f.K.f / m^2 and
-the particle density N(f) = mean(f), together with their gradients.
+the particle density N(f) = mean(f), together with their gradients.  xi is
+the lattice energy's form: the kernel row dotted with the pair sums of f.
+A profile has no boundary flag; the boundary belongs to the kernel.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import KernelMatrix
+from .potential import KernelMatrix, lag_sums
 
 LOG2 = math.log(2.0)
 
@@ -24,10 +26,9 @@ class OccupancyProfile:
 
     m: int
     values: np.ndarray
-    periodic: bool = True
 
 
-def make_profile(values, periodic: bool = True) -> OccupancyProfile:
+def make_profile(values) -> OccupancyProfile:
     """Validate and freeze a profile; values must lie in [0, 1], m >= 2."""
     vals = np.asarray(values, dtype=float).copy()
     if vals.ndim != 1 or vals.size < 2:
@@ -35,14 +36,14 @@ def make_profile(values, periodic: bool = True) -> OccupancyProfile:
     if np.any(vals < 0.0) or np.any(vals > 1.0):
         raise ValueError("profile values must lie in [0, 1]")
     vals.flags.writeable = False
-    return OccupancyProfile(m=vals.size, values=vals, periodic=bool(periodic))
+    return OccupancyProfile(m=vals.size, values=vals)
 
 
-def constant_profile(m: int, value: float, periodic: bool = True) -> OccupancyProfile:
-    return make_profile(np.full(m, float(value)), periodic=periodic)
+def constant_profile(m: int, value: float) -> OccupancyProfile:
+    return make_profile(np.full(m, float(value)))
 
 
-def indicator_profile(m: int, intervals, periodic: bool = True) -> OccupancyProfile:
+def indicator_profile(m: int, intervals) -> OccupancyProfile:
     """Cell-averaged indicator of a union of intervals of [0, 1].
 
     Edge cells that straddle an interval boundary get the overlap fraction,
@@ -54,7 +55,7 @@ def indicator_profile(m: int, intervals, periodic: bool = True) -> OccupancyProf
         lo = np.maximum(edges[:-1], a)
         hi = np.minimum(edges[1:], b)
         vals += m * np.maximum(hi - lo, 0.0)
-    return make_profile(np.clip(vals, 0.0, 1.0), periodic=periodic)
+    return make_profile(np.clip(vals, 0.0, 1.0))
 
 
 def hbin(t):
@@ -96,10 +97,9 @@ def entropy_H(f: OccupancyProfile) -> float:
 
 
 def xi(f: OccupancyProfile, K: KernelMatrix) -> float:
-    """Kernel quadratic form (1/m^2) f.K.f."""
+    """Kernel quadratic form (1/m^2) f.K.f, from the kernel row."""
     _check_sizes(f, K)
-    v = f.values
-    return float(v @ (K.entries @ v)) / (f.m * f.m)
+    return float(lag_sums(f.values, K.periodic) @ K.row) / (f.m * f.m)
 
 
 def density_N(f: OccupancyProfile) -> float:
@@ -160,9 +160,14 @@ def profile_to_csv(f: OccupancyProfile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def profile_from_csv(text: str, periodic: bool = True) -> OccupancyProfile:
+def profile_to_dict(f: OccupancyProfile) -> dict:
+    """JSON block of a profile; every profile the package makes is periodic."""
+    return {"m": f.m, "periodic": True, "values": [float(v) for v in f.values]}
+
+
+def profile_from_csv(text: str) -> OccupancyProfile:
     rows = [ln for ln in text.splitlines() if ln.strip()]
     if not rows or rows[0].strip() != "cell_center,value":
         raise ValueError("profile CSV must start with a cell_center,value header")
     vals = [float(ln.partition(",")[2]) for ln in rows[1:]]
-    return make_profile(vals, periodic=periodic)
+    return make_profile(vals)

@@ -5,7 +5,8 @@ A configuration assigns 0/1 occupancy to a chain of n sites, the lattice
 pair-energy density (ordered pairs, diagonal included through psi at distance
 zero), the particle density, the step-function occupancy profile, and the
 worst-case Riemann gap between the lattice energy sum and the continuum
-kernel quadratic form.
+kernel quadratic form.  The energy is the Toeplitz form of xi, with the
+lattice row :func:`potential.pair_row` in place of the kernel row.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functional import OccupancyProfile, block_average, make_profile
-from .potential import Potential, kernel_row, pair_row
+from .potential import Potential, kernel_row, lag_sums, pair_row
 
 SITE_CAP = 1 << 26
 
@@ -53,26 +54,20 @@ def energy_density(cfg: LatticeConfig, pot: Potential) -> float:
     Both ordered pairs are counted and the diagonal I = J enters through
     psi at distance zero; periodic potentials use the torus distance.  The
     double sum is a sum over site offsets k of the number of occupied pairs
-    k apart times :func:`pair_row`.  The pair counts are the autocorrelation
-    of the occupancy, by FFT: cyclic when periodic, zero-padded to 2n for
-    free boundaries, where the offsets k and -k both count.  The counts are
+    k apart (:func:`lag_sums`) times :func:`pair_row`.  The counts are
     integers, so rounding them makes them exact.
     """
     n = cfg.n
-    size = n if pot.periodic else 2 * n
-    spec = np.fft.rfft(cfg.occupancy, size)
-    lags = np.rint(np.fft.irfft(spec * np.conj(spec), size)[:n])
-    if not pot.periodic:
-        lags[1:] *= 2.0
-    return float(lags @ pair_row(pot, n)) / (n * n)
+    counts = np.rint(lag_sums(cfg.occupancy, pot.periodic))
+    return float(counts @ pair_row(pot, n)) / (n * n)
 
 
-def profile(cfg: LatticeConfig, m: int, periodic: bool = True) -> OccupancyProfile:
+def profile(cfg: LatticeConfig, m: int) -> OccupancyProfile:
     """Block-average the 0/1 step profile onto m cells.
 
     m must divide n or n must divide m; with m = n the raw bits come back.
     """
-    return make_profile(block_average(cfg.occupancy, m), periodic=periodic)
+    return make_profile(block_average(cfg.occupancy, m))
 
 
 def riemann_discrepancy(n: int, pot: Potential) -> float:
@@ -80,20 +75,14 @@ def riemann_discrepancy(n: int, pot: Potential) -> float:
 
     Returns sum_{I,J} |n^-2 psi(|I-J|/n) - integral over cell_I x cell_J|,
     which bounds |E_n(eta) - xi(f^eta)| uniformly over configurations.
-    Both tables are Toeplitz in the site offset k, so the double sum is a
-    weighted sum over offsets of |pair_row - kernel_row|: every offset
-    occurs n times when periodic; with free boundaries k = 0 occurs n times
-    and k > 0 occurs 2 (n - k) times.
+    Both tables are Toeplitz in the site offset k, so the double sum is the
+    quadratic form of the row |pair_row - kernel_row| at the all-ones vector,
+    whose pair sums count how often each offset occurs: n times when
+    periodic; with free boundaries n times at k = 0 and 2 (n - k) times at
+    k > 0.  The work is O(n log n), so n has no cap.
     """
-    if n > 4096:
-        raise ValueError("n capped at 4096")
     gap = np.abs(pair_row(pot, n) - kernel_row(pot, n))
-    if pot.periodic:
-        weights = np.full(n, float(n))
-    else:
-        weights = 2.0 * (n - np.arange(n, dtype=float))
-        weights[0] = n
-    return float(weights @ gap) / (n * n)
+    return float(np.rint(lag_sums(np.ones(n), pot.periodic)) @ gap) / (n * n)
 
 
 # --- text round trip ------------------------------------------------------

@@ -11,10 +11,12 @@ supported:
 * ``tabulated`` -- linear interpolation through user-supplied (t, value)
   knots, clamped at the ends.
 
-Every pair table is the symmetric Toeplitz matrix of one offset row:
+Every pair table is the symmetric Toeplitz matrix of one stored offset row:
 :func:`kernel_row` holds the cell-pair averages of psi that every continuum
 functional is built on, :func:`pair_row` the values of psi at the lattice
-site offsets.  The integrated interaction (the double integral of
+site offsets.  A quadratic form of a table is its row dotted with the pair
+sums :func:`lag_sums` of the vector, so the dense table is built only for a
+dense apply or solve.  The integrated interaction (the double integral of
 psi(|x - y|) over the unit square) and the kernel row come from closed-form
 antiderivatives of the power-law, plateau and linear segments, so neither
 carries quadrature error.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -89,15 +92,22 @@ class Potential:
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """Cell-pair averaged interaction matrix on the uniform m-grid of [0, 1].
+    """Cell-pair averaged interaction table on the uniform m-grid of [0, 1].
 
-    Entry (i, j) equals m^2 times the integral of psi(|x - y|) over
-    cell_i x cell_j.  Symmetric by construction; circulant when periodic.
+    row[k] equals m^2 times the integral of psi(|x - y|) over cell_0 x cell_k
+    (:func:`kernel_row`).  The table is the symmetric Toeplitz matrix of the
+    row, circulant when periodic; entries builds it, read-only, on first use.
     """
 
     m: int
-    entries: np.ndarray
+    row: np.ndarray
     periodic: bool
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        ent = toeplitz(self.row)
+        ent.flags.writeable = False
+        return ent
 
 
 def eval_psi(pot: Potential, t):
@@ -139,8 +149,6 @@ def integrated_interaction(pot: Potential) -> float:
     interaction) and 2 * int_0^1 (1 - t) psi(t) dt with free boundaries,
     both summed segment by segment without quadrature.
     """
-    if pot.kind == CONSTANT:
-        return float(pot.J)
     if pot.periodic:
         return _psi_weighted(pot, 0.0, 1.0, 1.0, 0.0)
     return 2.0 * _psi_weighted(pot, 0.0, 1.0, 1.0, -1.0)
@@ -241,15 +249,26 @@ def pair_row(pot: Potential, n: int) -> np.ndarray:
 
 
 def cell_kernel(pot: Potential, m: int) -> KernelMatrix:
-    """Assemble the m-by-m matrix of cell-pair averaged interactions.
+    """The m-cell kernel of the continuum functionals, stored as its row."""
+    row = kernel_row(pot, m)
+    row.flags.writeable = False
+    return KernelMatrix(m=m, row=row, periodic=bool(pot.periodic))
 
-    The matrix is what the continuum functionals consume.  It is the
-    symmetric Toeplitz matrix of :func:`kernel_row`, circulant under
-    periodic boundaries.
-    """
-    entries = toeplitz(kernel_row(pot, m))
-    entries.flags.writeable = False
-    return KernelMatrix(m=m, entries=entries, periodic=bool(pot.periodic))
+
+def lag_sums(values, periodic: bool) -> np.ndarray:
+    """Entry k sums v_i v_j over the ordered pairs k apart, so that v.T.v =
+    lag_sums(v) @ row for the symmetric Toeplitz table T of a row.
+
+    The sums are the autocorrelation of v, by FFT: cyclic when periodic, and
+    zero-padded to 2n for free boundaries, where the offsets k and -k both
+    count."""
+    n = np.size(values)
+    size = n if periodic else 2 * n
+    spec = np.fft.rfft(values, size)
+    lags = np.fft.irfft(spec * np.conj(spec), size)[:n]
+    if not periodic:
+        lags[1:] *= 2.0
+    return lags
 
 
 # --- plain-text config block serialization -------------------------------

@@ -28,6 +28,7 @@ from .functional import (
     entropy_H,
     hbin_prime,
     make_profile,
+    profile_to_dict,
 )
 from .potential import KernelMatrix, Potential, cell_kernel
 
@@ -136,8 +137,10 @@ def solve_multipliers(K: KernelMatrix, target_xi: float, target_rho: float, seed
     squares, and the Newton-KKT solve runs to the max-norm residual EL_TOL.
     Convergence is judged afresh on the result (constraint gaps within
     CONSTRAINT_TOL, fixed-point residual below 1e-7), so a stalled run comes
-    back flagged instead of raising.
+    back flagged instead of raising.  K must be periodic.
     """
+    if not K.periodic:
+        raise ValueError("the variational solver is implemented for periodic boundaries")
     if not 0.0 < target_rho < 1.0:
         raise ValueError("target density must lie in (0, 1)")
     seed = seed.values if isinstance(seed, OccupancyProfile) else seed
@@ -155,7 +158,7 @@ def _finalize(K, target_xi, target_rho, f, beta, mu, iterations) -> SolveResult:
     """
     m = K.m
     f = np.clip(np.asarray(f, dtype=float), 0.0, 1.0)
-    prof = make_profile(f, periodic=K.periodic)
+    prof = make_profile(f)
     Kf = K.entries @ f
     res_xi = abs(float(f @ Kf) / (m * m) - target_xi)
     res_n = abs(density_N(prof) - target_rho)
@@ -209,8 +212,6 @@ def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT
     constant wins every tie.  candidates lists the seeds that ran: one on
     the curve with the default seeds.
     """
-    if not pot.periodic:
-        raise ValueError("the variational solver is implemented for periodic boundaries")
     K = kernel if kernel is not None else cell_kernel(pot, m)
     if seeds is None:
         seeds = default_seeds(K.m, rho)
@@ -235,10 +236,8 @@ def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT
 
 def align_peak(prof: OccupancyProfile) -> OccupancyProfile:
     """Circularly shift a periodic profile so its maximum sits at cell m/2."""
-    if not prof.periodic:
-        return prof
     shift = prof.m // 2 - int(np.argmax(prof.values))
-    return make_profile(np.roll(prof.values, shift), periodic=True)
+    return make_profile(np.roll(prof.values, shift))
 
 
 def classify_branch(f: OccupancyProfile, noise_floor: float = NOISE_FLOOR) -> str:
@@ -248,8 +247,6 @@ def classify_branch(f: OccupancyProfile, noise_floor: float = NOISE_FLOOR) -> st
     above min + noise_floor; a total range below the floor is constant.
     Plateau peaks (runs of equal values, up to float ties) count once.
     """
-    if not f.periodic:
-        raise ValueError("branch classification assumes a periodic profile")
     v = f.values
     if float(v.max() - v.min()) < noise_floor:
         return "constant"
@@ -289,11 +286,7 @@ def solve_result_to_dict(result: SolveResult) -> dict:
     seed's Newton-KKT run.
     """
     return {
-        "profile": {
-            "m": result.profile.m,
-            "periodic": result.profile.periodic,
-            "values": [float(v) for v in result.profile.values],
-        },
+        "profile": profile_to_dict(result.profile),
         "multipliers": {"beta": result.multipliers.beta, "mu": result.multipliers.mu},
         "entropy_S": result.entropy_S,
         "residuals": list(result.residuals),

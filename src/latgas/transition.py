@@ -139,11 +139,11 @@ def spectral_radius(K: KernelMatrix) -> float:
 
     The eigenvalues of a circulant matrix are the discrete Fourier transform
     of its first row (Gray, Toeplitz and Circulant Matrices: A Review, 2006),
-    so periodic kernels give max |rfft(row)| / m.  Other kernels are symmetric
-    and take a dense symmetric eigensolve.
+    so periodic kernels give max |rfft(row)| / m without building the dense
+    table.  Other kernels are symmetric and take a dense symmetric eigensolve.
     """
     if K.periodic:
-        return float(np.max(np.abs(np.fft.rfft(K.entries[0])))) / K.m
+        return float(np.max(np.abs(np.fft.rfft(K.row)))) / K.m
     return float(np.max(np.abs(np.linalg.eigvalsh(K.entries / K.m))))
 
 

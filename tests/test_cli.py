@@ -223,10 +223,16 @@ class TestInputErrors:
         assert run(args + ["--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--seed", "--workers"])
-    def test_unused_flags_refused(self, cfg, flag):
+    @pytest.mark.parametrize("args", [
+        pytest.param(["solve", "--seed", "1"], id="--seed"),
+        pytest.param(["solve", "--workers", "1"], id="--workers"),
+        # only solve and scan read --grid
+        *(pytest.param([command, "--grid", "64"], id=f"{command}--grid")
+          for command in ("lambda", "feasibility", "eval", "enumerate", "sample")),
+    ])
+    def test_unused_flags_refused(self, cfg, args):
         with pytest.raises(SystemExit):
-            run(["solve", "--config", cfg, flag, "1"])
+            run(args + ["--config", cfg])
 
 
 class TestDeterminism:

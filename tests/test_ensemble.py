@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 import latgas as lg
 from latgas import ensemble
@@ -41,7 +42,7 @@ def reference_sample(n, pot, window, steps, chains, rng_seed, init=None,
     it is the oracle for the one-alignment-per-visited-state accumulation.
     """
     k = int(round(window.rho * n))
-    psi = ensemble._pair_matrix(pot, n)
+    psi = toeplitz(lg.potential.pair_row(pot, n))
     lo = (window.xi - window.delta) * n * n
     hi = (window.xi + window.delta) * n * n
     width = max(3, n // 16)

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 import latgas as lg
+from latgas.potential import KernelMatrix
 
 LOG2 = math.log(2.0)
 
@@ -145,6 +149,29 @@ class TestQuadraticFormProperties:
         for _ in range(20):
             f = rng.uniform(0.0, 1.0, 256)
             assert lg.xi(lg.make_profile(f), kernel256) >= 0.0
+
+    @given(st.integers(2, 64).flatmap(lambda m: st.tuples(
+        st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m),
+        st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))), st.booleans())
+    def test_row_form_matches_dense(self, row_and_values, periodic):
+        row, values = (np.array(v) for v in row_and_values)
+        if periodic:
+            # a circulant row also satisfies row[k] = row[m - k]
+            row = 0.5 * (row + np.roll(row[::-1], 1))
+        m = row.size
+        dense = float(values @ toeplitz(row) @ values) / m ** 2
+        # relative to the form's scale, so cancelling rows do not divide by ~0
+        scale = float(np.abs(row).sum()) * (values.sum() / m) ** 2
+        got = lg.xi(lg.make_profile(values), KernelMatrix(m=m, row=row, periodic=periodic))
+        assert abs(got - dense) <= 1e-13 * max(abs(dense), scale)
+
+    def test_dense_table_stays_lazy(self, pot_a2, rng):
+        K = lg.cell_kernel(pot_a2, 128)
+        lg.xi(lg.make_profile(rng.uniform(0.0, 1.0, 128)), K)
+        lg.spectral_radius(K)
+        assert "entries" not in vars(K)
+        assert np.array_equal(K.entries, toeplitz(K.row))
+        assert not K.entries.flags.writeable
 
 
 class TestProfilePlumbing:

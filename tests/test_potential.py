@@ -148,6 +148,30 @@ KNOTS = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6, unique=True).flatm
         lambda vs: list(zip(sorted(ts), vs))))
 
 
+class TestKernelRowMean:
+    @given(st.one_of(
+        st.builds(lg.Potential.power_plateau, st.floats(0.01, 0.99), st.floats(0.01, 100.0),
+                  st.booleans()),
+        st.builds(lg.Potential.constant, st.floats(-100.0, 100.0), st.booleans()),
+        st.builds(lg.Potential.tabulated,
+                  st.lists(st.integers(0, 64), min_size=2, max_size=6, unique=True).flatmap(
+                      lambda ks: st.lists(st.floats(-10.0, 10.0), min_size=len(ks),
+                                          max_size=len(ks)).map(
+                          lambda vs: [(k / 64, v) for k, v in zip(sorted(ks), vs)])),
+                  st.booleans()),
+    ), st.integers(2, 200))
+    def test_row_mean_is_lambda(self, pot, m):
+        # the mean of the table's m^2 entries is the double integral lambda
+        row = potential.kernel_row(pot, m)
+        if pot.periodic:
+            mean = row.mean()
+        else:
+            weights = 2.0 * (m - np.arange(m))
+            weights[0] = m
+            mean = weights @ row / m ** 2
+        assert mean == pytest.approx(lg.integrated_interaction(pot), rel=1e-12, abs=1e-12)
+
+
 class TestValidationAndConfig:
     def test_power_plateau_validation(self):
         with pytest.raises(ValueError):

@@ -92,24 +92,20 @@ class TestSpectralRadius:
             # a circulant row also satisfies row[k] = row[m - k]
             row = 0.5 * (row + np.roll(row[::-1], 1))
         m = row.size
-        entries = toeplitz(row)
-        entries.flags.writeable = False
-        K = KernelMatrix(m=m, entries=entries, periodic=periodic)
-        dense = float(np.max(np.abs(np.linalg.eigvalsh(entries / m))))
+        K = KernelMatrix(m=m, row=row, periodic=periodic)
+        dense = float(np.max(np.abs(np.linalg.eigvalsh(toeplitz(row) / m))))
         assert lg.spectral_radius(K) == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
     def test_identity_kernel(self):
         m = 64
-        entries = m * np.eye(m)
-        entries.flags.writeable = False
-        K = KernelMatrix(m=m, entries=entries, periodic=False)
+        row = np.zeros(m)
+        row[0] = m  # the table m * I
+        K = KernelMatrix(m=m, row=row, periodic=False)
         assert lg.spectral_radius(K) == pytest.approx(1.0, rel=1e-10)
 
     def test_scaling_homogeneity(self, pot_a2):
         K = lg.cell_kernel(pot_a2, 128)
-        doubled = 2.0 * K.entries
-        doubled.flags.writeable = False
-        K2 = KernelMatrix(m=128, entries=doubled, periodic=True)
+        K2 = KernelMatrix(m=128, row=2.0 * K.row, periodic=True)
         assert lg.spectral_radius(K2) == pytest.approx(2.0 * lg.spectral_radius(K),
                                                        rel=1e-9)
 
