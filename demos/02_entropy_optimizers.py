@@ -3,13 +3,9 @@
 
 Solves the constrained variational problem at rho = 0.23 for three energy
 targets: on the curve xi = lambda rho^2 (constant optimizer), just below
-(one bump), and just above (several bumps).  Profiles are written next to
-this script as CSV.
+(one bump), and just above (several bumps).  `latgas solve` writes the
+same records as CSV and JSON.
 """
-
-from pathlib import Path
-
-import numpy as np
 
 import latgas as lg
 
@@ -29,14 +25,12 @@ def sketch(values, cells=32):
 pot = lg.Potential.power_plateau(0.5, 10.0)
 lam = lg.integrated_interaction(pot)
 xi0 = lam * RHO ** 2
-out = Path(__file__).resolve().parent
 
 for tag, target in [("on_curve", xi0), ("below", xi0 - DELTA), ("above", xi0 + DELTA)]:
     res = lg.solve_entropy(pot, target, RHO, m=256)
     print(f"{tag:9s} xi={target:.4f}  branch={res.branch:14s} S={res.entropy_S:+.6f} "
           f"beta={res.multipliers.beta:+.3f} converged={res.converged}")
     print(f"          |{sketch(res.profile.values)}|")
-    (out / f"profile_{tag}.csv").write_text(lg.profile_to_csv(res.profile))
 
 print(f"\non the curve S equals -hbin(rho) = {-lg.hbin(RHO):.6f}; off the curve the")
 print("optimizer is forced away from the constant profile and entropy drops.")

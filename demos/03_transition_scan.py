@@ -4,10 +4,9 @@
 Certifies that the curve point is reachable from both sides (three test
 profiles), then scans the entropy across the curve and checks the slope
 bound c/sigma from the convexity gap of the binary entropy and the spectral
-radius of the kernel operator.
+radius of the kernel operator.  `latgas scan` writes the same records as
+CSV and JSON.
 """
-
-from pathlib import Path
 
 import latgas as lg
 
@@ -30,7 +29,3 @@ for p in scan.points:
     print(f"  xi={p.xi_target:.4f}  S={p.S:+.6f}  {p.branch:14s} beta={p.beta:+.3f}")
 print(f"one-sided slopes: left {scan.left_slope:+.3f}, right {scan.right_slope:+.3f}")
 print(f"both exceed c/sigma in magnitude -> first-order kink: {scan.kink_ok}")
-
-out = Path(__file__).resolve().parent
-(out / "scan.csv").write_text(lg.scan_to_csv(scan))
-print(f"\nwrote {out / 'scan.csv'}")

@@ -142,18 +142,14 @@ def _sanitize(obj):
 
 # --- commands ---------------------------------------------------------------
 
-def cmd_lambda(args) -> int:
-    sections = load_config(args.config)
-    pot = _potential_from(sections)
+def cmd_lambda(args, sections, pot) -> int:
     lam = potential.integrated_interaction(pot)
     print(fmt(lam))
     (_out_dir(args) / "lambda.csv").write_text("lambda\n" + fmt(lam) + "\n")
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    sections = load_config(args.config)
-    pot = _potential_from(sections)
+def cmd_solve(args, sections, pot) -> int:
     m = _get(sections, "solver", "grid", int, default=solver.DEFAULT_GRID, flag=args.grid)
     xi_t = _get(sections, "window", "xi", float, flag=args.xi)
     rho = _get(sections, "window", "rho", float, flag=args.rho)
@@ -167,9 +163,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK if result.converged else EXIT_INFEASIBLE
 
 
-def cmd_scan(args) -> int:
-    sections = load_config(args.config)
-    pot = _potential_from(sections)
+def cmd_scan(args, sections, pot) -> int:
     m = _get(sections, "solver", "grid", int, default=solver.DEFAULT_GRID, flag=args.grid)
     rho = _get(sections, "window", "rho", float, flag=args.rho)
     raw = args.deltas or sections.get("window", {}).get("deltas", "")
@@ -196,9 +190,7 @@ def _window_from(sections, args) -> ensemble.EnsembleWindow:
     return ensemble.EnsembleWindow(xi=xi_t, rho=rho, delta=delta)
 
 
-def cmd_sample(args) -> int:
-    sections = load_config(args.config)
-    pot = _potential_from(sections)
+def cmd_sample(args, sections, pot) -> int:
     window = _window_from(sections, args)
     n = _get(sections, "run", "n", int, flag=args.n)
     steps = _get(sections, "run", "steps", int, default=20000, flag=args.steps)
@@ -217,9 +209,7 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def cmd_enumerate(args) -> int:
-    sections = load_config(args.config)
-    pot = _potential_from(sections)
+def cmd_enumerate(args, sections, pot) -> int:
     window = _window_from(sections, args)
     n = _get(sections, "run", "n", int, flag=args.n)
     count, emp_S = ensemble.enumerate_entropy(n, pot, window)
@@ -230,9 +220,7 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def cmd_feasibility(args) -> int:
-    sections = load_config(args.config)
-    pot = _potential_from(sections)
+def cmd_feasibility(args, sections, pot) -> int:
     rho = _get(sections, "window", "rho", float, flag=args.rho)
     probe = transition.feasibility_probe(pot, rho)
     verdict = "interior" if probe.interior else "not-certified"
@@ -244,9 +232,7 @@ def cmd_feasibility(args) -> int:
     return EXIT_OK if probe.interior else EXIT_INFEASIBLE
 
 
-def cmd_eval(args) -> int:
-    sections = load_config(args.config)
-    pot = _potential_from(sections)
+def cmd_eval(args, sections, pot) -> int:
     if not args.profile:
         raise ConfigError("eval needs --profile pointing at a cell_center,value CSV")
     prof = _read_profile(args.profile)
@@ -327,7 +313,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        sections = load_config(args.config)
+        return args.fn(args, sections, _potential_from(sections))
     except ValueError as exc:  # ConfigError and the library's input checks
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

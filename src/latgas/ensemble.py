@@ -38,6 +38,8 @@ class EnsembleWindow:
     def __post_init__(self):
         if not self.delta > 0.0:
             raise ValueError("window half-width delta must be positive")
+        if not (math.isfinite(self.xi) and math.isfinite(self.rho)):
+            raise ValueError("window center xi and rho must be finite")
 
 
 @dataclass

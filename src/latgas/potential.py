@@ -62,14 +62,16 @@ class Potential:
         if self.kind == POWER_PLATEAU:
             if self.r is None or not 0.0 < self.r < 1.0:
                 raise ValueError("power-law exponent r must lie in (0, 1)")
-            if self.M is None or not self.M > 0.0:
-                raise ValueError("plateau height M must be positive")
+            if self.M is None or not 0.0 < self.M < math.inf:
+                raise ValueError("plateau height M must be positive and finite")
         elif self.kind == CONSTANT:
             if self.J is None or not math.isfinite(self.J):
                 raise ValueError("constant potential needs a finite J")
         else:
             if len(self.samples) < 2:
                 raise ValueError("tabulated potential needs at least two knots")
+            if not all(math.isfinite(x) for knot in self.samples for x in knot):
+                raise ValueError("tabulated knots must be finite")
             ts = [t for t, _ in self.samples]
             if any(b <= a for a, b in zip(ts, ts[1:])):
                 raise ValueError("tabulated knots must be strictly increasing")

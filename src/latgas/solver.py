@@ -5,13 +5,15 @@ interval.  Interior optimizers satisfy the logistic fixed-point relation
 f = expit(mu + beta * Kf / m) together with both constraints.  Every seed
 profile takes one path: multipliers (beta, mu) fitted to the seed by least
 squares, then a globalized Newton solve of the joint KKT system in
-(f, beta, mu) with backtracking on the max-norm residual.  solve_entropy
+(f, beta, mu) with backtracking on the max-norm residual.  The last
+accepted Newton iterate is the seed's candidate, judged on the residual
+that the solve already holds; no second kernel apply.  solve_entropy
 runs that path from the k-bump seed family (constant plus cos(2 pi k x),
 k = 1..6) and keeps the candidate of maximal entropy.  Since hbin is convex,
 Jensen's inequality bounds every candidate by S <= -hbin(rho), with equality
 only at the constant profile; so once a seed converges to the constant (on
 the curve xi = lambda rho^2) no later seed can win and the multistart stops.
-The tolerances are the module constants below.
+The tolerances and the iteration cap are the module constants below.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from scipy.special import expit
 
 from .functional import (
     OccupancyProfile,
-    density_N,
     entropy_H,
     hbin_prime,
     make_profile,
@@ -35,7 +36,9 @@ from .potential import KernelMatrix, Potential, cell_kernel
 DEFAULT_GRID = 256
 CONSTRAINT_TOL = 1e-8
 EL_TOL = 1e-11
+NEWTON_MAX_ITER = 60
 NOISE_FLOOR = 1e-6
+PEAK_TIE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,8 @@ class SolveResult:
     branch: str
     iterations: tuple[int, int]
     converged: bool
-    el_residual: float = math.nan
-    degenerate: bool = False
+    el_residual: float
+    degenerate: bool
     candidates: tuple = ()
 
 
@@ -75,15 +78,16 @@ def _fit_multipliers(K: KernelMatrix, values: np.ndarray, rho: float) -> tuple[f
     return float(beta), float(mu)
 
 
-def _newton_kkt(K, target_xi, target_rho, f, beta, mu,
-                tol: float = EL_TOL, max_iter: int = 60):
+def _newton_kkt(K, target_xi, target_rho, f, beta, mu):
     """Globalized Newton solve of the fixed point and both constraints.
 
     Each iteration solves the (m + 2)-dimensional linearization in
     (f, beta, mu) and halves the step until the max-norm residual drops
-    (Armijo factor 1e-4).  Stops below tol, after max_iter iterations, at a
-    singular Jacobian, or when 25 halvings do not help.  Returns
-    (f, beta, mu, iterations, halvings).
+    (Armijo factor 1e-4).  Stops below EL_TOL, after NEWTON_MAX_ITER
+    iterations, at a singular Jacobian, or when 25 halvings do not help.
+    Returns the last accepted iterate with its field and residual,
+    (f, beta, mu, Kf/m, R, iterations, halvings): R stacks the fixed-point
+    gap f - expit(mu + beta Kf/m), the energy gap and the density gap.
     """
     m = K.m
     A = K.entries
@@ -95,14 +99,12 @@ def _newton_kkt(K, target_xi, target_rho, f, beta, mu,
         R = np.concatenate([f - s, [f @ Kf_m / m - target_xi, f.mean() - target_rho]])
         return Kf_m, s, R, float(np.max(np.abs(R)))
 
-    f = np.clip(np.array(f, dtype=float), 1e-14, 1.0 - 1e-14)
     Kf_m, s, R, rn = residual(f, beta, mu)
-    halvings = 0
+    it = halvings = 0
     J = np.zeros((m + 2, m + 2))
     block = np.empty((m, m))
-    for it in range(max_iter):
-        if rn < tol:
-            return f, beta, mu, it, halvings
+    while rn >= EL_TOL and it < NEWTON_MAX_ITER:
+        it += 1
         sp = s * (1.0 - s)
         np.multiply(sp[:, None], A, out=block)
         block *= beta / m
@@ -114,7 +116,7 @@ def _newton_kkt(K, target_xi, target_rho, f, beta, mu,
         try:
             step = np.linalg.solve(J, -R)
         except np.linalg.LinAlgError:
-            return f, beta, mu, it + 1, halvings
+            break
         t = 1.0
         for _ in range(25):
             trial = (np.clip(f + t * step[:m], 1e-14, 1.0 - 1e-14),
@@ -125,9 +127,9 @@ def _newton_kkt(K, target_xi, target_rho, f, beta, mu,
             t *= 0.5
             halvings += 1
         else:
-            return f, beta, mu, it + 1, halvings
+            break
         (f, beta, mu), (Kf_m, s, R, rn) = trial, new
-    return f, beta, mu, max_iter, halvings
+    return f, beta, mu, Kf_m, R, it, halvings
 
 
 def solve_multipliers(K: KernelMatrix, target_xi: float, target_rho: float, seed) -> SolveResult:
@@ -135,46 +137,37 @@ def solve_multipliers(K: KernelMatrix, target_xi: float, target_rho: float, seed
 
     The seed is clipped into (0, 1), (beta, mu) are fitted to it by least
     squares, and the Newton-KKT solve runs to the max-norm residual EL_TOL.
-    Convergence is judged afresh on the result (constraint gaps within
-    CONSTRAINT_TOL, fixed-point residual below 1e-7), so a stalled run comes
-    back flagged instead of raising.  K must be periodic.
+    The candidate is the last accepted Newton iterate, judged on its own
+    residual: it converged when both constraint gaps are within
+    CONSTRAINT_TOL and the fixed-point gap is below 1e-7, so a stalled run
+    comes back flagged instead of raising.  degenerate flags the
+    constraint-dominated stationarity branch: the smoothed field Kf/m
+    constant at xi/rho to 1e-6.  K must be periodic.
     """
     if not K.periodic:
         raise ValueError("the variational solver is implemented for periodic boundaries")
     if not 0.0 < target_rho < 1.0:
         raise ValueError("target density must lie in (0, 1)")
+    if not math.isfinite(target_xi):
+        raise ValueError("target energy xi must be finite")
     seed = seed.values if isinstance(seed, OccupancyProfile) else seed
     f = np.clip(np.asarray(seed, dtype=float).ravel(), 1e-9, 1.0 - 1e-9)
     beta, mu = _fit_multipliers(K, f, target_rho)
-    f, beta, mu, its, halvings = _newton_kkt(K, target_xi, target_rho, f, beta, mu)
-    return _finalize(K, target_xi, target_rho, f, beta, mu, iterations=(its, halvings))
-
-
-def _finalize(K, target_xi, target_rho, f, beta, mu, iterations) -> SolveResult:
-    """Diagnostics of one candidate from a single kernel apply Kf.
-
-    degenerate flags the constraint-dominated stationarity branch: the
-    smoothed field Kf/m constant at xi/rho to 1e-6.
-    """
-    m = K.m
-    f = np.clip(np.asarray(f, dtype=float), 0.0, 1.0)
+    f, beta, mu, Kf_m, R, its, halvings = _newton_kkt(K, target_xi, target_rho, f, beta, mu)
     prof = make_profile(f)
-    Kf = K.entries @ f
-    res_xi = abs(float(f @ Kf) / (m * m) - target_xi)
-    res_n = abs(density_N(prof) - target_rho)
-    el_res = float(np.max(np.abs(f - expit(mu + beta * Kf / m))))
-    converged = (res_xi < CONSTRAINT_TOL * max(1.0, abs(target_xi))
-                 and res_n < CONSTRAINT_TOL and el_res < 1e-7)
+    res_xi, res_n = abs(float(R[-2])), abs(float(R[-1]))
+    el_res = float(np.max(np.abs(R[:-2])))
     return SolveResult(
         profile=prof,
         multipliers=Multipliers(float(beta), float(mu)),
         entropy_S=-entropy_H(prof),
         residuals=(res_xi, res_n),
         branch=classify_branch(prof),
-        iterations=iterations,
-        converged=bool(converged),
+        iterations=(its, halvings),
+        converged=bool(res_xi < CONSTRAINT_TOL * max(1.0, abs(target_xi))
+                       and res_n < CONSTRAINT_TOL and el_res < 1e-7),
         el_residual=el_res,
-        degenerate=bool(np.max(np.abs(Kf / m - target_xi / target_rho)) < 1e-6),
+        degenerate=bool(np.max(np.abs(Kf_m - target_xi / target_rho)) < 1e-6),
     )
 
 
@@ -257,13 +250,13 @@ def classify_branch(f: OccupancyProfile, noise_floor: float = NOISE_FLOOR) -> st
     return f"multimodal({peaks})"
 
 
-def _cyclic_peak_count(s: np.ndarray, thresh: float, tie_eps: float = 1e-12) -> int:
+def _cyclic_peak_count(s: np.ndarray, thresh: float) -> int:
     """Count cyclic local maxima above thresh, merging float-tie plateaus."""
     n = s.size
     d = s - np.roll(s, 1)
     sign = np.zeros(n, dtype=int)
-    sign[d > tie_eps] = 1
-    sign[d < -tie_eps] = -1
+    sign[d > PEAK_TIE_EPS] = 1
+    sign[d < -PEAK_TIE_EPS] = -1
     nz = np.flatnonzero(sign)
     if nz.size == 0:
         return 0

@@ -65,8 +65,6 @@ class ScanPoint:
 class TransitionScan:
     rho: float
     lam: float
-    xi_values: list[float]
-    S_values: list[float]
     left_slope: float
     right_slope: float
     kink_lower_bound: float
@@ -153,15 +151,17 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> Transit
     Requires the feasibility probe to certify the curve point first.  For
     each delta the scan solves at xi = lambda rho^2 +/- delta, estimates the
     one-sided slopes by Richardson extrapolation of the two smallest secants,
-    and checks the entropy-drop bound S - S_curve <= -(c/sigma) |dxi| + KINK_SLACK.
+    and checks the entropy-drop bound S - S_curve <= -(c/sigma) |dxi| + KINK_SLACK
+    on every converged point.  kink_ok holds only when the curve point and at
+    least one point on each side converged and every drop meets the bound.
     Failed solves become failure markers, not exceptions.
     """
     if pot.kind == CONSTANT:
         raise UnscannableCurve(
             "constant interactions tie the energy to the particle density; nothing to scan")
     deltas = sorted(float(d) for d in deltas)
-    if not deltas or deltas[0] <= 0.0:
-        raise ValueError("deltas must be a nonempty list of positive reals")
+    if not deltas or not all(0.0 < d < math.inf for d in deltas):
+        raise ValueError("deltas must be a nonempty list of positive finite reals")
     probe = feasibility_probe(pot, rho)
     if not probe.interior:
         raise UnscannableCurve("curve point not certified interior (plateau height too small)")
@@ -190,23 +190,15 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> Transit
     S_curve = curve_pt.S
     h_rho = float(hbin(rho))
 
-    kink_ok = True
-    for pt in points:
-        if pt.xi_target == xi0 or not pt.converged:
-            continue
-        drop = pt.S + h_rho
-        if drop > -bound * abs(pt.xi_actual - xi0) + KINK_SLACK:
-            kink_ok = False
-
     left = [p for p in points[:mid] if p.converged]
     right = [p for p in points[mid + 1:] if p.converged]
+    kink_ok = bool(curve_pt.converged and left and right) and all(
+        p.S + h_rho <= -bound * abs(p.xi_actual - xi0) + KINK_SLACK for p in left + right)
     left_slope = _one_sided_slope(S_curve, xi0, left[::-1]) if curve_pt.converged else math.nan
     right_slope = _one_sided_slope(S_curve, xi0, right) if curve_pt.converged else math.nan
 
     return TransitionScan(
         rho=rho, lam=lam,
-        xi_values=[p.xi_target for p in points],
-        S_values=[p.S for p in points],
         left_slope=left_slope, right_slope=right_slope,
         kink_lower_bound=bound, c=c, sigma=sigma,
         S_curve=S_curve, kink_ok=kink_ok,

@@ -192,6 +192,17 @@ class TestConfigErrors:
         assert run(["lambda", "--config", str(path)]) == 3
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block", [
+        "kind = power_plateau\nr = 0.5\nM = inf\n",
+        "kind = tabulated\nsamples = 0:nan;1:1\n",
+    ])
+    def test_non_finite_potential_refused(self, tmp_path, capsys, block):
+        path = tmp_path / "nonfinite.cfg"
+        path.write_text("[potential]\n" + block)
+        assert run(["lambda", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "bad [potential] section" in err and "finite" in err
+
     def test_unreadable_profile_is_config_error(self, cfg, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         header = tmp_path / "header.csv"
@@ -218,6 +229,12 @@ class TestInputErrors:
         ["sample", "--n", "64", "--steps", "0"],
         ["sample", "--n", "64", "--chains", "0"],
         ["sample", "--n", "1"],
+        ["solve", "--xi", "nan"],
+        ["solve", "--xi", "inf"],
+        ["scan", "--deltas", "nan,0.01"],
+        ["scan", "--deltas", "inf"],
+        ["enumerate", "--n", "12", "--xi", "nan"],
+        ["sample", "--n", "32", "--steps", "10", "--xi", "nan"],
     ])
     def test_rejected_input_is_config_error(self, cfg, tmp_path, capsys, args):
         assert run(args + ["--config", cfg, "--out", str(tmp_path / "o")]) == 3

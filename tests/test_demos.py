@@ -1,4 +1,4 @@
-"""Smoke runs of the demos that exercise the potential and lattice API."""
+"""Smoke runs of the demos that write no files: kernel, solver, scan and lattice."""
 
 import os
 import subprocess
@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_potential_and_kernel.py", "04_finite_lattice_checks.py"])
+@pytest.mark.parametrize("demo", ["01_potential_and_kernel.py", "02_entropy_optimizers.py",
+                                  "03_transition_scan.py", "04_finite_lattice_checks.py"])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -176,6 +176,9 @@ class TestEnumerate:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             lg.EnsembleWindow(0.1, 0.2, 0.0)
+        for xi, rho in ((math.nan, 0.25), (math.inf, 0.25), (0.3, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                lg.EnsembleWindow(xi, rho, 0.05)
 
 
 class TestMcmc:

@@ -178,12 +178,18 @@ class TestValidationAndConfig:
             lg.Potential.power_plateau(1.5, 10.0)
         with pytest.raises(ValueError):
             lg.Potential.power_plateau(0.5, -1.0)
+        for M in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="plateau height"):
+                lg.Potential.power_plateau(0.5, M)
 
     def test_tabulated_validation(self):
         with pytest.raises(ValueError):
             lg.Potential.tabulated([(0.0, 1.0)])
         with pytest.raises(ValueError):
             lg.Potential.tabulated([(0.5, 1.0), (0.2, 1.0)])
+        for knots in ([(0.0, float("nan")), (1.0, 1.0)], [(0.0, 1.0), (float("inf"), 1.0)]):
+            with pytest.raises(ValueError, match="finite"):
+                lg.Potential.tabulated(knots)
 
     @pytest.mark.parametrize("pot", [
         lg.Potential.power_plateau(0.5, 10.0),

@@ -31,6 +31,11 @@ class TestSolveMultipliers:
             with pytest.raises(ValueError):
                 lg.solve_multipliers(kernel256, 0.1, rho, lg.constant_profile(256, 0.5))
 
+    @pytest.mark.parametrize("xi", [np.nan, np.inf, -np.inf])
+    def test_xi_must_be_finite(self, kernel256, xi):
+        with pytest.raises(ValueError, match="finite"):
+            lg.solve_multipliers(kernel256, xi, RHO, lg.constant_profile(256, RHO))
+
 
 class TestSolveEntropy:
     def test_on_curve(self, solve_on_curve):
@@ -178,6 +183,24 @@ class TestOptimizerInvariants:
                             (solve_above, XI_CURVE + 0.02)):
             assert res.residuals[0] < 1e-8 * max(1.0, abs(target))
             assert res.residuals[1] < 1e-8
+
+    @pytest.mark.parametrize("name", ["solve_on_curve", "solve_below", "solve_above"])
+    def test_judgement_matches_recomputation(self, kernel256, request, name):
+        # the solver judges a candidate on its last Newton residual; recompute
+        # every judged number from the profile, xi through the FFT lag form
+        from scipy.special import expit
+        target = XI_CURVE + {"solve_on_curve": 0.0, "solve_below": -0.02,
+                             "solve_above": 0.02}[name]
+        res = request.getfixturevalue(name)
+        prof, mult = res.profile, res.multipliers
+        assert abs(res.residuals[0] - abs(lg.xi(prof, kernel256) - target)) < 1e-12
+        # the profile is the judged iterate circularly shifted to center its
+        # peak, so its mean is summed in another order: equal to within an ulp
+        assert res.residuals[1] == pytest.approx(abs(lg.density_N(prof) - RHO), abs=1e-16)
+        field = lg.apply_kernel(kernel256, prof)
+        el = float(np.max(np.abs(prof.values - expit(mult.mu + mult.beta * field))))
+        assert abs(res.el_residual - el) < 1e-12
+        assert res.degenerate == bool(np.max(np.abs(field - target / RHO)) < 1e-6)
 
     def test_fixed_point_consistency(self, kernel256, solve_below):
         from scipy.special import expit

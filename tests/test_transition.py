@@ -118,12 +118,12 @@ class TestScanTransition:
         assert all(p.converged for p in scan_023.points)
 
     def test_xi_values_bracket_curve(self, scan_023):
-        xis = scan_023.xi_values
+        xis = [p.xi_target for p in scan_023.points]
         assert all(b > a for a, b in zip(xis, xis[1:]))
         assert xis[0] < scan_023.lam * RHO ** 2 < xis[-1]
 
     def test_entropy_bounded_by_curve_value(self, scan_023):
-        assert all(S <= -lg.hbin(RHO) + 1e-6 for S in scan_023.S_values)
+        assert all(p.S <= -lg.hbin(RHO) + 1e-6 for p in scan_023.points)
 
     def test_kink_inequality(self, scan_023):
         bound = scan_023.kink_lower_bound
@@ -157,10 +157,17 @@ class TestScanTransition:
         with pytest.raises(ValueError):
             lg.scan_transition(pot_a2, RHO, [])
 
+    @pytest.mark.parametrize("deltas", [[math.nan, 0.01], [math.inf]])
+    def test_non_finite_deltas_refused(self, pot_a2, deltas):
+        with pytest.raises(ValueError, match="deltas"):
+            lg.scan_transition(pot_a2, RHO, deltas, m=64)
+
     def test_infeasible_delta_marks_failure(self, pot_a2):
         scan = lg.scan_transition(pot_a2, RHO, [0.5], m=64)
         assert any(not p.converged for p in scan.points)
         assert any(math.isnan(p.S) for p in scan.points)
+        # neither off-curve point converged: no evidence for the kink
+        assert not scan.kink_ok
 
     def test_within_hypotheses_for_small_r(self):
         pot = lg.Potential.power_plateau(0.3, 10.0)
