@@ -8,7 +8,8 @@ half-lattices, paired only in the popcount blocks of admissible particle
 numbers).  The sampler fixes the particle number at round(rho n), proposes
 occupied <-> empty swaps and accepts exactly when the energy stays in its
 window; symmetric proposals with indicator acceptance make the stationary
-law uniform on the constrained slice.  Each visited state is aligned once.
+law uniform on the constrained slice.  Each visited state is aligned once,
+by a correlation that each accepted swap updates in O(n) without an FFT.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .potential import Potential, pair_row
 ENUM_CAP = 24
 BURN_IN = 0.2  # fraction of each chain discarded before averaging
 ANNEAL_TRIES_PER_SITE = 500  # the anneal gives up after this many proposals per site
+TIE_MARGIN = 1e-9  # shifts within this fraction of the best correlation defer to the FFT
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,7 @@ class McmcStats:
     stuck_warning: bool
     rng_name: str = "philox"
     state_counts: dict | None = None
+    chain_acceptance: tuple[float, ...] = ()
 
 
 def _bit_matrix(bits: int) -> np.ndarray:
@@ -118,14 +121,25 @@ def _smooth_cyclic(values: np.ndarray, width: int) -> np.ndarray:
     return (cs[width:width + values.size] - cs[:values.size]) / width
 
 
-def _aligned(values: np.ndarray, width: int, spectrum: np.ndarray | None) -> np.ndarray:
+def _aligned(values: np.ndarray, width: int, spectrum: np.ndarray) -> np.ndarray:
     """Roll values so that their smoothed copy best correlates with the
-    reference whose smoothed rfft is `spectrum`; None leaves them in place."""
-    if spectrum is None:
-        return values
+    reference whose smoothed rfft is `spectrum`."""
     corr = np.fft.irfft(spectrum * np.conj(np.fft.rfft(_smooth_cyclic(values, width))),
                         values.size)
     return np.roll(values, int(np.argmax(corr)))
+
+
+def _fold(profile: np.ndarray, occ: np.ndarray, occ_idx: np.ndarray, dwell: int,
+          corr: np.ndarray | None, width: int, spectrum: np.ndarray | None) -> None:
+    """Add dwell copies of the state occ to profile, aligned by the argmax of corr."""
+    if corr is None:
+        profile[occ_idx] += dwell
+        return
+    shift = int(np.argmax(corr))
+    if np.count_nonzero(corr >= (1.0 - TIE_MARGIN) * corr[shift]) > 1:
+        profile += dwell * _aligned(occ.astype(float), width, spectrum)  # too close to call
+    else:
+        profile[occ_idx + (shift - occ.size)] += dwell  # negative indices wrap around
 
 
 def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
@@ -137,17 +151,19 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     by occupancy), otherwise from a seeded random configuration; either way a
     bounded greedy anneal walks the energy into its window first.  Samples
     after the burn-in fraction BURN_IN are circularly aligned before averaging
-    when an init profile pins the frame: each sample, smoothed over
-    max(3, n // 16) cells, is cross-correlated against the smoothed init
-    template, whose spectrum is taken once.  Each visited state is aligned
-    once and added with its dwell count (post-burn steps it held).  Without
-    a template samples pass through unshifted (aligning featureless chains
-    by any max-correlation rule would stack their noise into an artificial
-    lump; the collective pattern drifts slowly enough that unaligned chain
-    means stay sharp), and chain means are re-aligned onto each other before
-    merging.  The mean profile is finally rolled so its peak sits at the
-    center cell.  A full sweep with zero acceptances sets a stuck-chain
-    warning in the stats.
+    when an init profile pins the frame, by the shift that best correlates the
+    sample, smoothed over max(3, n // 16) cells, with the smoothed template.
+    Each visited state is aligned once and added with its dwell count.  As
+    smoothing is linear, an accepted swap moves that correlation by two
+    shifted copies of the twice-smoothed template, in O(n); a state whose best
+    shift is within TIE_MARGIN of another takes `_aligned`'s FFT instead.
+    Without a template samples pass through unshifted (aligning featureless
+    chains by any max-correlation rule would stack their noise into an
+    artificial lump; the collective pattern drifts slowly enough that
+    unaligned chain means stay sharp), and chain means are re-aligned onto
+    each other before merging.  The mean profile is finally rolled so its
+    peak sits at the center cell.  A full sweep with zero acceptances sets a
+    stuck-chain warning in the stats.
     """
     if steps < 1 or chains < 1:
         raise ValueError("steps and chains must be at least 1")
@@ -163,9 +179,13 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     burn = int(steps * BURN_IN)
     children = np.random.SeedSequence(rng_seed).spawn(chains)
 
-    init_values = block_average(init.values, n) if init is not None else None
-    template = (np.fft.rfft(_smooth_cyclic(init_values, width))
-                if init_values is not None else None)
+    init_values = template = G2 = None
+    if init is not None:
+        init_values = block_average(init.values, n)
+        smoothed = _smooth_cyclic(init_values, width)
+        template = np.fft.rfft(smoothed)
+        # G[z] = mean(smoothed[z - width + 1 .. z]); corr[s] = sum of G2[y + s], y occupied
+        G2 = np.tile(np.roll(_smooth_cyclic(smoothed, width), width - 1), 2)
 
     if track_states and n > 60:
         raise ValueError("state tracking is meant for tiny lattices (n <= 60)")
@@ -174,7 +194,7 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     state_counts: dict[int, int] | None = {} if track_states else None
     site_bits = 1 << np.arange(n, dtype=np.int64) if track_states else None
 
-    accepted_total = 0
+    chain_accepted = []
     e_sum = 0.0
     e_min = math.inf
     e_max = -math.inf
@@ -182,11 +202,13 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     chain_means = []
 
     for chain_idx in range(chains):
+        accepted = 0
         rng = np.random.Generator(np.random.Philox(children[chain_idx]))
         occ = _initial_config(n, k, init_values, rng)
         occ, s, E = _anneal_into_window(psi, occ, lo, hi, rng)
         occ_idx = np.flatnonzero(occ)
         emp_idx = np.flatnonzero(~occ)
+        corr = G2[occ_idx[:, None] + np.arange(n)].sum(axis=0) if G2 is not None else None
         chain_profile = np.zeros(n)
         dwell = 0  # post-burn steps the current state has held
         rejects_in_row = 0
@@ -199,15 +221,18 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
             E_new = E + dE
             if lo < E_new < hi:
                 if dwell:
-                    chain_profile += dwell * _aligned(occ.astype(float), width, template)
+                    _fold(chain_profile, occ, occ_idx, dwell, corr, width, template)
                     dwell = 0
                 occ_idx[a] = j
                 emp_idx[b] = i
                 occ[i] = False
                 occ[j] = True
                 s += psi[j] - psi[i]
+                if corr is not None:
+                    corr += G2[j:j + n]
+                    corr -= G2[i:i + n]
                 E = E_new
-                accepted_total += 1
+                accepted += 1
                 rejects_in_row = 0
             else:
                 rejects_in_row += 1
@@ -222,8 +247,9 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
                 if state_counts is not None and (t - burn) % track_every == 0:
                     key = int(site_bits[occ].sum())
                     state_counts[key] = state_counts.get(key, 0) + 1
-        chain_profile += dwell * _aligned(occ.astype(float), width, template)
+        _fold(chain_profile, occ, occ_idx, dwell, corr, width, template)
         chain_means.append(chain_profile / (steps - burn))
+        chain_accepted.append(accepted)
 
     # merge chains coherently: align every chain mean onto the first one
     merged = chain_means[0].copy()
@@ -235,15 +261,16 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
 
     return McmcStats(
         n=n, chains=chains, steps=steps,
-        accepted_moves=accepted_total,
+        accepted_moves=sum(chain_accepted),
         mean_profile=mean_profile,
         energy_trace_summary=(e_sum / (chains * (steps - burn)), e_min, e_max),
         seed=int(rng_seed),
         particles=k,
         proposals=chains * steps,
-        acceptance_rate=accepted_total / (chains * steps),
+        acceptance_rate=sum(chain_accepted) / (chains * steps),
         stuck_warning=stuck,
         state_counts=state_counts,
+        chain_acceptance=tuple(a / steps for a in chain_accepted),
     )
 
 
@@ -327,5 +354,6 @@ def stats_to_dict(stats: McmcStats) -> dict:
         "seed": stats.seed,
         "rng_name": stats.rng_name,
         "stuck_warning": stats.stuck_warning,
+        "chain_acceptance": list(stats.chain_acceptance),
         "mean_profile": profile_to_dict(stats.mean_profile),
     }

@@ -162,6 +162,8 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> Transit
     deltas = sorted(float(d) for d in deltas)
     if not deltas or not all(0.0 < d < math.inf for d in deltas):
         raise ValueError("deltas must be a nonempty list of positive finite reals")
+    if len(set(deltas)) < len(deltas):
+        raise ValueError("deltas must be distinct: a repeated delta leaves no secant gap")
     probe = feasibility_probe(pot, rho)
     if not probe.interior:
         raise UnscannableCurve("curve point not certified interior (plateau height too small)")

@@ -102,6 +102,7 @@ class TestSampleAndEnumerate:
         stats = json.loads((out / "mcmc_stats.json").read_text())
         assert stats["rng_name"] == "philox"
         assert stats["seed"] == 5
+        assert stats["chain_acceptance"] == [stats["acceptance_rate"]]  # one chain
         assert (out / "mean_profile.csv").exists()
 
     def test_enumerate_record(self, cfg, tmp_path, capsys):
@@ -235,6 +236,7 @@ class TestInputErrors:
         ["scan", "--deltas", "inf"],
         ["enumerate", "--n", "12", "--xi", "nan"],
         ["sample", "--n", "32", "--steps", "10", "--xi", "nan"],
+        ["scan", "--rho", "0.23", "--deltas", "0.01,0.01", "--grid", "64"],
     ])
     def test_rejected_input_is_config_error(self, cfg, tmp_path, capsys, args):
         assert run(args + ["--config", cfg, "--out", str(tmp_path / "o")]) == 3

@@ -1,4 +1,5 @@
-"""Smoke runs of the demos that write no files: kernel, solver, scan and lattice."""
+"""Smoke runs of demos 01 to 04 (kernel, solver, scan and lattice); no demo writes a
+file.  Demo 05 samples for about 20 s and is left out."""
 
 import os
 import subprocess

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 import latgas as lg
@@ -104,6 +106,15 @@ def reference_sample(n, pot, window, steps, chains, rng_seed, init=None,
     return dict(mean_profile=np.clip(merged, 0.0, 1.0), accepted_moves=accepted,
                 proposals=proposals, state_counts=state_counts, stuck_warning=stuck,
                 energy_trace_summary=(e_sum / samples, e_min, e_max))
+
+
+def assert_same_as_reference(stats, ref):
+    np.testing.assert_array_equal(stats.mean_profile.values, ref["mean_profile"])
+    assert stats.accepted_moves == ref["accepted_moves"]
+    assert stats.proposals == ref["proposals"]
+    assert stats.state_counts == ref["state_counts"]
+    assert stats.stuck_warning == ref["stuck_warning"]
+    assert stats.energy_trace_summary == ref["energy_trace_summary"]
 
 
 class TestEnumerate:
@@ -297,6 +308,59 @@ class TestMcmc:
         assert stats.state_counts == ref["state_counts"]
         assert stats.stuck_warning == ref["stuck_warning"]
         assert stats.energy_trace_summary == ref["energy_trace_summary"]
+
+    def test_matches_reference_at_sample_command_size(self, pot_a2, solve_above):
+        # the regime of `latgas sample`: n = 512 above the curve, seeded by the optimizer
+        window = lg.EnsembleWindow(xi=XI_CURVE + 0.02, rho=RHO, delta=0.01)
+        stats = lg.mcmc_sample(512, pot_a2, window, steps=3000, chains=2, rng_seed=1,
+                               init=solve_above.profile)
+        ref = reference_sample(512, pot_a2, window, 3000, 2, 1, init=solve_above.profile)
+        assert_same_as_reference(stats, ref)
+
+    def test_tied_shifts_take_the_fft_route(self, pot_a2, solve_below, monkeypatch):
+        # a template of period n/2 ties every shift s with s + n/2, so the running
+        # correlation cannot pick between them and each state must use _aligned
+        init = lg.make_profile(np.tile(lg.block_average(solve_below.profile.values, 16), 2))
+        window = lg.EnsembleWindow(xi=XI_CURVE - 0.02, rho=RHO, delta=0.05)
+        calls = []
+        aligned = ensemble._aligned
+        monkeypatch.setattr(ensemble, "_aligned", lambda *a: calls.append(a) or aligned(*a))
+        stats = lg.mcmc_sample(32, pot_a2, window, steps=3000, chains=1, rng_seed=17,
+                               init=init)
+        assert calls  # one chain: nothing to merge, so every call is a fallback
+        ref = reference_sample(32, pot_a2, window, 3000, 1, 17, init=init)
+        assert_same_as_reference(stats, ref)
+
+    @given(st.integers(4, 10), st.data())
+    def test_visited_states_lie_in_the_slice(self, pot_a2, n, data):
+        # the window edges sit halfway between energy levels of the k-particle
+        # configurations, so no rounding of the running energy can cross them
+        k = data.draw(st.integers(1, n - 1))
+        levels = sorted({lg.energy_density(lg.make_config(n, np.isin(np.arange(n), c)), pot_a2)
+                         for c in itertools.combinations(range(n), k)})
+        a = data.draw(st.integers(0, len(levels) - 1))
+        b = data.draw(st.integers(a, len(levels) - 1))
+        lo = (levels[a - 1] + levels[a]) / 2 if a > 0 else levels[a] - 1.0
+        hi = (levels[b] + levels[b + 1]) / 2 if b + 1 < len(levels) else levels[b] + 1.0
+        window = lg.EnsembleWindow(xi=(lo + hi) / 2, rho=k / n, delta=(hi - lo) / 2)
+        try:
+            stats = lg.mcmc_sample(n, pot_a2, window, steps=400, chains=1,
+                                   rng_seed=data.draw(st.integers(0, 2 ** 32)),
+                                   track_states=True)
+        except RuntimeError:  # the greedy anneal can stall short of a window this narrow
+            reject()
+        members = {sum(bit << i for i, bit in enumerate(c))
+                   for c in slice_configs(n, pot_a2, window)}
+        assert stats.state_counts and set(stats.state_counts) <= members
+
+    def test_chain_acceptance(self, pot_a2):
+        window = lg.EnsembleWindow(xi=XI_CURVE, rho=RHO, delta=0.05)
+        stats = lg.mcmc_sample(32, pot_a2, window, steps=2000, chains=3, rng_seed=11)
+        assert len(stats.chain_acceptance) == 3
+        assert len(set(stats.chain_acceptance)) > 1  # each chain counts its own moves
+        assert np.mean(stats.chain_acceptance) == pytest.approx(stats.acceptance_rate,
+                                                                 rel=1e-12)
+        assert lg.stats_to_dict(stats)["chain_acceptance"] == list(stats.chain_acceptance)
 
     @pytest.mark.parametrize("steps,chains", [(0, 1), (10, 0)])
     def test_empty_run_refused(self, pot_a2, steps, chains):

@@ -162,6 +162,12 @@ class TestScanTransition:
         with pytest.raises(ValueError, match="deltas"):
             lg.scan_transition(pot_a2, RHO, deltas, m=64)
 
+    @pytest.mark.parametrize("deltas", [[0.01, 0.01], [0.02, 0.005, 0.02]])
+    def test_repeated_deltas_refused(self, pot_a2, deltas):
+        # the slope extrapolation divides by the gap between the two nearest deltas
+        with pytest.raises(ValueError, match="distinct"):
+            lg.scan_transition(pot_a2, RHO, deltas, m=64)
+
     def test_infeasible_delta_marks_failure(self, pot_a2):
         scan = lg.scan_transition(pot_a2, RHO, [0.5], m=64)
         assert any(not p.converged for p in scan.points)
