@@ -29,8 +29,10 @@ xi0 = lam * RHO ** 2
 for tag, target in [("on_curve", xi0), ("below", xi0 - DELTA), ("above", xi0 + DELTA)]:
     res = lg.solve_entropy(pot, target, RHO, m=256)
     print(f"{tag:9s} xi={target:.4f}  branch={res.branch:14s} S={res.entropy_S:+.6f} "
-          f"beta={res.multipliers.beta:+.3f} converged={res.converged}")
+          f"beta={res.multipliers.beta:+.3f} converged={res.converged} "
+          f"morse={res.certificate['morse_index']}")
     print(f"          |{sketch(res.profile.values)}|")
 
 print(f"\non the curve S equals -hbin(rho) = {-lg.hbin(RHO):.6f}; off the curve the")
 print("optimizer is forced away from the constant profile and entropy drops.")
+print("morse = 0: no direction that keeps both constraints raises the entropy (to second order).")

@@ -25,7 +25,8 @@ from .potential import Potential, pair_row
 
 ENUM_CAP = 24
 BURN_IN = 0.2  # fraction of each chain discarded before averaging
-ANNEAL_TRIES_PER_SITE = 500  # the anneal gives up after this many proposals per site
+ANNEAL_TRIES_PER_SITE = 500  # proposals per site of the greedy walk and of each restart
+ANNEAL_RESTARTS = 2  # random restarts, with sideways moves, after the greedy walk stalls
 TIE_MARGIN = 1e-9  # shifts within this fraction of the best correlation defer to the FFT
 
 
@@ -289,37 +290,48 @@ def _initial_config(n: int, k: int, init_values: np.ndarray | None,
 
 def _anneal_into_window(psi: np.ndarray, occ: np.ndarray, lo: float, hi: float,
                         rng: np.random.Generator):
-    """Greedy swaps toward the energy window; error if the walk stalls."""
-    n = occ.size
-    s = psi @ occ.astype(float)
-    E = float(occ.astype(float) @ s)
+    """Swaps toward the energy window: a greedy walk, then restarts where it stalls.
+
+    The walk takes the best of a batch of 32 random swaps when it brings the
+    energy closer to the window centre.  After ANNEAL_TRIES_PER_SITE * n
+    proposals outside the window it starts again, up to ANNEAL_RESTARTS times,
+    from a random configuration, now also taking a sideways move (the batch's
+    last swap) when no swap of the batch is closer; then it raises.  A walk
+    that reaches the window greedily draws exactly what it always drew.
+    """
+    n, k = occ.size, int(occ.sum())
     center = 0.5 * (lo + hi)
-    tries = 0
-    limit = ANNEAL_TRIES_PER_SITE * n
-    while not lo < E < hi:
-        if tries >= limit:
-            raise RuntimeError(
-                f"could not anneal into the energy window ({lo:.6g}, {hi:.6g}); "
-                f"stuck at {E:.6g}")
-        occ_idx = np.flatnonzero(occ)
-        emp_idx = np.flatnonzero(~occ)
-        best = None
-        for _ in range(32):
-            i = occ_idx[rng.integers(occ_idx.size)]
-            j = emp_idx[rng.integers(emp_idx.size)]
-            dE = -2.0 * s[i] + psi[i, i] + 2.0 * (s[j] - psi[i, j]) + psi[j, j]
-            gain = abs(E + dE - center) - abs(E - center)
-            if best is None or gain < best[0]:
-                best = (gain, i, j, dE)
-            tries += 1
-        gain, i, j, dE = best
-        if gain >= 0.0:
-            continue  # batch had no improving move; resample
-        occ[i] = False
-        occ[j] = True
-        s += psi[j] - psi[i]
-        E += dE
-    return occ, s, E
+    for restart in range(ANNEAL_RESTARTS + 1):
+        if restart:
+            occ = np.zeros(n, dtype=bool)
+            occ[rng.choice(n, size=k, replace=False)] = True
+        s = psi @ occ.astype(float)
+        E = float(occ.astype(float) @ s)
+        tries = 0
+        while not lo < E < hi and tries < ANNEAL_TRIES_PER_SITE * n:
+            occ_idx = np.flatnonzero(occ)
+            emp_idx = np.flatnonzero(~occ)
+            best = None
+            for _ in range(32):
+                i = occ_idx[rng.integers(occ_idx.size)]
+                j = emp_idx[rng.integers(emp_idx.size)]
+                dE = -2.0 * s[i] + psi[i, i] + 2.0 * (s[j] - psi[i, j]) + psi[j, j]
+                gain = abs(E + dE - center) - abs(E - center)
+                if best is None or gain < best[0]:
+                    best = (gain, i, j, dE)
+                tries += 1
+            if best[0] < 0.0:
+                _, i, j, dE = best
+            elif not restart:
+                continue  # batch had no improving move; resample
+            occ[i] = False
+            occ[j] = True
+            s += psi[j] - psi[i]
+            E += dE
+        if lo < E < hi:
+            return occ, s, E
+    raise RuntimeError(
+        f"could not anneal into the energy window ({lo:.6g}, {hi:.6g}); stuck at {E:.6g}")
 
 
 def compare_profile(stats: McmcStats, f_star: OccupancyProfile) -> float:

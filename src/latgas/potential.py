@@ -99,6 +99,8 @@ class KernelMatrix:
     row[k] equals m^2 times the integral of psi(|x - y|) over cell_0 x cell_k
     (:func:`kernel_row`).  The table is the symmetric Toeplitz matrix of the
     row, circulant when periodic; entries builds it, read-only, on first use.
+    folded holds, for a periodic table, its two half-size blocks on profiles
+    even and odd under the reflection i <-> m-1-i.
     """
 
     m: int
@@ -110,6 +112,26 @@ class KernelMatrix:
         ent = toeplitz(self.row)
         ent.flags.writeable = False
         return ent
+
+    @cached_property
+    def folded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(T + P, T - P, w) of a periodic table on the first h = ceil(m/2) cells, read-only.
+
+        T = toeplitz(row[:h]) pairs cell i with cell j and P[i, j] = row[|i + j + 1 - m|]
+        with its mirror m-1-j, so an even f acts as (T + P) f[:h] and an odd one as
+        (T - P) f[:n] on the n = m - h cells with a mirror.  w is each half cell's
+        multiplicity: 2, but 1 for an odd m's centre cell, which is its own mirror
+        (its column of P is dropped).
+        """
+        h = (self.m + 1) // 2
+        i = np.arange(h)
+        P = self.row[np.abs(i[:, None] + i + 1 - self.m)]
+        P[:, self.m - h:] = 0.0
+        T, n = toeplitz(self.row[:h]), self.m - h
+        blocks = (T + P, (T - P)[:n, :n], np.where(i < n, 2.0, 1.0))
+        for b in blocks:
+            b.flags.writeable = False
+        return blocks
 
 
 def eval_psi(pot: Potential, t):

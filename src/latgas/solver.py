@@ -3,23 +3,26 @@
 Maximizes -H(f) subject to xi(f) = xi and N(f) = rho on the periodic unit
 interval.  Interior optimizers satisfy the logistic fixed-point relation
 f = expit(mu + beta * Kf / m) together with both constraints.  Every seed
-profile takes one path: multipliers (beta, mu) fitted to the seed by least
-squares, then a globalized Newton solve of the joint KKT system in
-(f, beta, mu) with backtracking on the max-norm residual.  The last
-accepted Newton iterate is the seed's candidate, judged on the residual
-that the solve already holds; no second kernel apply.  solve_entropy
-runs that path from the k-bump seed family (constant plus cos(2 pi k x),
-k = 1..6) and keeps the candidate of maximal entropy.  Since hbin is convex,
-Jensen's inequality bounds every candidate by S <= -hbin(rho), with equality
-only at the constant profile; so once a seed converges to the constant (on
-the curve xi = lambda rho^2) no later seed can win and the multistart stops.
-The tolerances and the iteration cap are the module constants below.
+profile takes one path: rolled onto a reflection axis, multipliers
+(beta, mu) fitted by least squares, then a globalized Newton solve of the
+joint KKT system with backtracking on the max-norm residual.  The circulant
+kernel commutes with the reflection i <-> m-1-i, so the iterates of an even
+seed stay even and the solve runs on the half profile: h + 2 unknowns,
+h = ceil(m/2), on KernelMatrix.folded, and no m x m table.  A seed that keeps
+needing many halvings while it collapses towards the constant, infeasible off
+the curve, stops as "stalled" (the STALL_* constants).  The last accepted
+iterate, rolled back, is the seed's candidate, judged on the residual the
+solve already holds; a converged one carries a second-order certificate, the
+inertias of the even and the odd block of its KKT matrix.  solve_entropy runs
+that path from the k-bump seed family (constant plus cos(2 pi k x),
+k = 1..6) and keeps the candidate of maximal entropy; a seed that converges to
+the constant ends the multistart (Jensen stop, see solve_entropy).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import expit
@@ -27,6 +30,7 @@ from scipy.special import expit
 from .functional import (
     OccupancyProfile,
     entropy_H,
+    hbin,
     hbin_prime,
     make_profile,
     profile_to_dict,
@@ -39,6 +43,7 @@ EL_TOL = 1e-11
 NEWTON_MAX_ITER = 60
 NOISE_FLOOR = 1e-6
 PEAK_TIE_EPS = 1e-12
+STALL_STREAK, STALL_HALVINGS, STALL_GAP = 4, 15, 1e-3
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,10 @@ class SolveResult:
     """One optimizer candidate with its multipliers and diagnostics.
 
     iterations is (Newton iterations, backtracking halvings) of the seed's
-    Newton-KKT run.
+    Newton-KKT run and stop why it ended: "tolerance", "iteration cap",
+    "singular", "no descent" or "stalled".  certificate, None unless
+    converged, holds the (positive, negative, zero) inertia of the even and
+    of the odd KKT block, morse_index and licq; degenerate is not licq.
     """
 
     profile: OccupancyProfile
@@ -65,84 +73,135 @@ class SolveResult:
     el_residual: float
     degenerate: bool
     candidates: tuple = ()
+    stop: str = ""
+    certificate: dict | None = None
 
 
-def _fit_multipliers(K: KernelMatrix, values: np.ndarray, rho: float) -> tuple[float, float]:
-    """Least-squares fit of hbin'(f) ~ mu + beta * (Kf/m) on a seed profile inside (0, 1)."""
-    psi_f = (K.entries @ values) / K.m
-    rhs = hbin_prime(values)
-    if float(np.ptp(psi_f)) < 1e-12:
+def _axis_roll(f: np.ndarray) -> int:
+    """The roll s that moves a reflection axis of f to cell boundary m/2 (odd m: cell m//2).
+
+    roll(f, s) pairs f[j] with f[m-1-2s-j], so s maximizes the circular
+    autocorrelation at m-1-2s (s = 0 if exact); none within 1e-12 raises ValueError.
+    """
+    m, s = f.size, 0
+    if np.max(np.abs(f - f[::-1])) > 1e-12:
+        auto = np.fft.irfft(np.fft.rfft(f) ** 2, m)  # auto[t] = sum_j f[j] f[t - j]
+        s = int(np.argmax(auto[(m - 1 - 2 * np.arange(m)) % m]))
+    r = np.roll(f, s)
+    if np.max(np.abs(r - r[::-1])) > 1e-12:
+        raise ValueError("the seed has no reflection axis; the solver needs a mirror-even seed")
+    return s
+
+
+def _fit_multipliers(At: np.ndarray, w: np.ndarray, g: np.ndarray, rho: float):
+    """Least-squares fit of hbin'(f) ~ mu + beta * (Kf/m) on an even seed inside (0, 1).
+
+    Each half cell's squared residual counts w times, its multiplicity: the fit over all m cells.
+    """
+    psi_g = (At @ g) / w.sum()
+    if float(np.ptp(psi_g)) < 1e-12:
         return 0.0, float(np.log(rho / (1.0 - rho)))
-    A = np.column_stack([psi_f, np.ones_like(psi_f)])
-    (beta, mu), *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    A = np.column_stack([psi_g, np.ones_like(psi_g)]) * np.sqrt(w)[:, None]
+    (beta, mu), *_ = np.linalg.lstsq(A, hbin_prime(g) * np.sqrt(w), rcond=None)
     return float(beta), float(mu)
 
 
-def _newton_kkt(K, target_xi, target_rho, f, beta, mu):
+def _newton_kkt(At, w, target_xi, target_rho, g, beta, mu):
     """Globalized Newton solve of the fixed point and both constraints.
 
-    Each iteration solves the (m + 2)-dimensional linearization in
-    (f, beta, mu) and halves the step until the max-norm residual drops
+    Each iteration solves the (h + 2)-dimensional linearization in
+    (g, beta, mu) and halves the step until the max-norm residual drops
     (Armijo factor 1e-4).  Stops below EL_TOL, after NEWTON_MAX_ITER
-    iterations, at a singular Jacobian, or when 25 halvings do not help.
-    Returns the last accepted iterate with its field and residual,
-    (f, beta, mu, Kf/m, R, iterations, halvings): R stacks the fixed-point
-    gap f - expit(mu + beta Kf/m), the energy gap and the density gap.
+    iterations, at a singular Jacobian, when 25 halvings do not help, or
+    "stalled": STALL_STREAK iterations in a row of STALL_HALVINGS or more
+    halvings, with S within STALL_GAP of -hbin(rho), the collapse towards the
+    constant, infeasible off the curve.  Returns the last accepted iterate,
+    (g, beta, mu, Kf/m, R, iterations, halvings, stop): R stacks the
+    fixed-point gap, the energy gap and the density gap (the full profile's).
     """
-    m = K.m
-    A = K.entries
-    eye = np.eye(m)
+    m, h = w.sum(), g.size
 
-    def residual(f, beta, mu):
-        Kf_m = (A @ f) / m
-        s = expit(mu + beta * Kf_m)
-        R = np.concatenate([f - s, [f @ Kf_m / m - target_xi, f.mean() - target_rho]])
-        return Kf_m, s, R, float(np.max(np.abs(R)))
+    def residual(g, beta, mu):
+        Kg_m = (At @ g) / m
+        s = expit(mu + beta * Kg_m)
+        R = np.concatenate([g - s, [w @ (g * Kg_m) / m - target_xi, w @ g / m - target_rho]])
+        return Kg_m, s, R, float(np.max(np.abs(R)))
 
-    Kf_m, s, R, rn = residual(f, beta, mu)
-    it = halvings = 0
-    J = np.zeros((m + 2, m + 2))
-    block = np.empty((m, m))
+    Kg_m, s, R, rn = residual(g, beta, mu)
+    it = halvings = streak = 0
+    stop = None
+    J = np.zeros((h + 2, h + 2))
+    J[h + 1, :h] = w / m
     while rn >= EL_TOL and it < NEWTON_MAX_ITER:
         it += 1
         sp = s * (1.0 - s)
-        np.multiply(sp[:, None], A, out=block)
-        block *= beta / m
-        np.subtract(eye, block, out=J[:m, :m])
-        J[:m, m] = -sp * Kf_m
-        J[:m, m + 1] = -sp
-        J[m, :m] = 2.0 * Kf_m / m
-        J[m + 1, :m] = 1.0 / m
+        np.multiply(sp[:, None], At, out=J[:h, :h])
+        J[:h, :h] *= -beta / m
+        J[:h, :h].flat[::h + 1] += 1.0
+        J[:h, h] = -sp * Kg_m
+        J[:h, h + 1] = -sp
+        J[h, :h] = 2.0 * w * Kg_m / m
         try:
             step = np.linalg.solve(J, -R)
         except np.linalg.LinAlgError:
+            stop = "singular"
             break
         t = 1.0
-        for _ in range(25):
-            trial = (np.clip(f + t * step[:m], 1e-14, 1.0 - 1e-14),
-                     beta + t * step[m], mu + t * step[m + 1])
+        for tries in range(25):
+            trial = (np.clip(g + t * step[:h], 1e-14, 1.0 - 1e-14),
+                     beta + t * step[h], mu + t * step[h + 1])
             new = residual(*trial)
             if new[3] < rn * (1.0 - 1e-4 * t) + 1e-15:
                 break
             t *= 0.5
             halvings += 1
         else:
+            stop = "no descent"
             break
-        (f, beta, mu), (Kf_m, s, R, rn) = trial, new
-    return f, beta, mu, Kf_m, R, it, halvings
+        (g, beta, mu), (Kg_m, s, R, rn) = trial, new
+        streak = streak + 1 if tries >= STALL_HALVINGS else 0
+        if streak >= STALL_STREAK and abs(w @ hbin(g) / m - hbin(target_rho)) < STALL_GAP:
+            stop = "stalled"
+            break
+    stop = stop or ("tolerance" if rn < EL_TOL else "iteration cap")
+    return g, beta, mu, Kg_m, R, it, halvings, stop
+
+
+def _certificate(At, Ao, w, g, beta, Kg_m, licq: bool) -> dict:
+    """Inertia (positive, negative, zero within 1e-8 of the largest) of the KKT matrix at g.
+
+    The Hessian D - beta A/m, D = diag(1/(f(1-f))), commutes with the reflection:
+    the even block W (D - beta At/m) is bordered by the constraint gradients, the
+    odd block D - beta Ao/m is not, as they are even.  A constrained maximum has
+    one negative direction per independent constraint; morse_index counts the rest.
+    """
+    m, h = w.sum(), g.size
+    d = 1.0 / (g * (1.0 - g))
+    kkt = np.zeros((h + 2, h + 2))
+    kkt[:h, :h] = w[:, None] * (np.diag(d) - beta * At / m)
+    kkt[:h, h] = kkt[h, :h] = w * Kg_m
+    kkt[:h, h + 1] = kkt[h + 1, :h] = w
+    cert = {"licq": licq}
+    odd = np.diag(d[:Ao.shape[0]]) - beta * Ao / m
+    for name, M in (("even_inertia", kkt), ("odd_inertia", odd)):
+        ev = np.linalg.eigvalsh(M)
+        zero = np.abs(ev) <= 1e-8 * np.max(np.abs(ev))
+        cert[name] = (int(np.sum((ev > 0) & ~zero)), int(np.sum((ev < 0) & ~zero)), int(zero.sum()))
+    cert["morse_index"] = cert["even_inertia"][1] + cert["odd_inertia"][1] - (2 if licq else 1)
+    return cert
 
 
 def solve_multipliers(K: KernelMatrix, target_xi: float, target_rho: float, seed) -> SolveResult:
-    """One seed's path: least-squares multipliers, then globalized Newton-KKT.
+    """One seed's path: axis roll, least-squares multipliers, even-half Newton-KKT.
 
-    The seed is clipped into (0, 1), (beta, mu) are fitted to it by least
-    squares, and the Newton-KKT solve runs to the max-norm residual EL_TOL.
-    The candidate is the last accepted Newton iterate, judged on its own
-    residual: it converged when both constraint gaps are within
-    CONSTRAINT_TOL and the fixed-point gap is below 1e-7, so a stalled run
-    comes back flagged instead of raising.  degenerate flags the
-    constraint-dominated stationarity branch: the smoothed field Kf/m
-    constant at xi/rho to 1e-6.  K must be periodic.
+    The seed is clipped into (0, 1) and rolled onto its reflection axis,
+    (beta, mu) are fitted to it by least squares, and the Newton-KKT solve
+    runs to the max-norm residual EL_TOL.  The candidate is the last accepted
+    Newton iterate, rolled back and judged on its own residual: it converged
+    when both constraint gaps are within CONSTRAINT_TOL and the fixed-point
+    gap is below 1e-7, so a stalled run comes back flagged instead of raising.
+    LICQ fails (degenerate) when the smoothed field Kf/m is constant at xi/rho
+    to 1e-6, so that the constraint gradients are parallel.  K must be periodic.
     """
     if not K.periodic:
         raise ValueError("the variational solver is implemented for periodic boundaries")
@@ -152,11 +211,20 @@ def solve_multipliers(K: KernelMatrix, target_xi: float, target_rho: float, seed
         raise ValueError("target energy xi must be finite")
     seed = seed.values if isinstance(seed, OccupancyProfile) else seed
     f = np.clip(np.asarray(seed, dtype=float).ravel(), 1e-9, 1.0 - 1e-9)
-    beta, mu = _fit_multipliers(K, f, target_rho)
-    f, beta, mu, Kf_m, R, its, halvings = _newton_kkt(K, target_xi, target_rho, f, beta, mu)
-    prof = make_profile(f)
+    if f.size != K.m:
+        raise ValueError("the seed and the kernel have different grid sizes")
+    shift = _axis_roll(f)
+    At, Ao, w = K.folded
+    g = np.roll(f, shift)[:w.size]
+    beta, mu = _fit_multipliers(At, w, g, target_rho)
+    g, beta, mu, Kg_m, R, its, halvings, stop = _newton_kkt(At, w, target_xi, target_rho,
+                                                            g, beta, mu)
+    prof = make_profile(np.roll(np.concatenate([g, g[:K.m - g.size][::-1]]), -shift))
     res_xi, res_n = abs(float(R[-2])), abs(float(R[-1]))
     el_res = float(np.max(np.abs(R[:-2])))
+    converged = bool(res_xi < CONSTRAINT_TOL * max(1.0, abs(target_xi))
+                     and res_n < CONSTRAINT_TOL and el_res < 1e-7)
+    licq = bool(np.max(np.abs(Kg_m - target_xi / target_rho)) >= 1e-6)
     return SolveResult(
         profile=prof,
         multipliers=Multipliers(float(beta), float(mu)),
@@ -164,10 +232,11 @@ def solve_multipliers(K: KernelMatrix, target_xi: float, target_rho: float, seed
         residuals=(res_xi, res_n),
         branch=classify_branch(prof),
         iterations=(its, halvings),
-        converged=bool(res_xi < CONSTRAINT_TOL * max(1.0, abs(target_xi))
-                       and res_n < CONSTRAINT_TOL and el_res < 1e-7),
+        converged=converged,
         el_residual=el_res,
-        degenerate=bool(np.max(np.abs(Kf_m - target_xi / target_rho)) < 1e-6),
+        degenerate=not licq,
+        stop=stop,
+        certificate=_certificate(At, Ao, w, g, beta, Kg_m, licq) if converged else None,
     )
 
 
@@ -192,9 +261,9 @@ def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT
     Runs solve_multipliers from each seed in order (default_seeds unless
     given) and returns the converged candidate of maximal entropy; ties
     within 1e-9 go to the profile with fewer peaks, then to the earlier
-    seed.  The winner is circularly shifted so its global maximum sits at
-    cell m/2.  If every start fails the result comes back with
-    converged=False and the least-bad diagnostics.
+    seed.  The winner is circularly shifted by align_peak.  If every start
+    fails the result comes back with converged=False and the least-bad
+    diagnostics.
 
     The seeds stop after the first one that converges to a profile
     classified constant (Jensen stop).  No later seed can beat it: hbin is
@@ -202,8 +271,8 @@ def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT
     constant attains that bound, so another candidate can exceed it only by
     the gap between the two density residuals, which the Newton tolerance
     EL_TOL keeps far inside the 1e-9 tie window; and with 0 peaks the
-    constant wins every tie.  candidates lists the seeds that ran: one on
-    the curve with the default seeds.
+    constant wins every tie.  candidates summarizes the seeds that ran (one
+    on the curve with the default seeds), each with its stop and certificate.
     """
     K = kernel if kernel is not None else cell_kernel(pot, m)
     if seeds is None:
@@ -214,8 +283,8 @@ def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT
         if results[-1].converged and results[-1].branch == "constant":
             break
 
-    summaries = tuple({"branch": r.branch, "entropy_S": r.entropy_S, "converged": r.converged,
-                       "residuals": r.residuals} for r in results)
+    keys = ("branch", "entropy_S", "converged", "residuals", "stop", "certificate")
+    summaries = tuple({k: getattr(r, k) for k in keys} for r in results)
     converged = [(i, r) for i, r in enumerate(results) if r.converged]
     if not converged:
         best = min(results, key=lambda r: max(r.residuals))
@@ -228,9 +297,15 @@ def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT
 
 
 def align_peak(prof: OccupancyProfile) -> OccupancyProfile:
-    """Circularly shift a periodic profile so its maximum sits at cell m/2."""
-    shift = prof.m // 2 - int(np.argmax(prof.values))
-    return make_profile(np.roll(prof.values, shift))
+    """Circularly shift a periodic profile so its peak cell sits at cell m/2.
+
+    The peak cell is the lowest-index cell within PEAK_TIE_EPS of the maximum
+    whose cyclic predecessor is not (cell 0 if all tie): the first cell of the
+    first run of tied maxima, so an even peak on two cells lands on m/2, m/2 + 1.
+    """
+    top = prof.values >= prof.values.max() - PEAK_TIE_EPS
+    starts = np.flatnonzero(top & ~np.roll(top, 1))
+    return make_profile(np.roll(prof.values, prof.m // 2 - (int(starts[0]) if starts.size else 0)))
 
 
 def classify_branch(f: OccupancyProfile, noise_floor: float = NOISE_FLOOR) -> str:
@@ -276,17 +351,8 @@ def solve_result_to_dict(result: SolveResult) -> dict:
     """JSON-ready record with fields named as in the result type.
 
     iterations is [Newton iterations, backtracking halvings] of the winning
-    seed's Newton-KKT run.
+    seed's Newton-KKT run; the candidates carry their stop and certificate.
     """
-    return {
-        "profile": profile_to_dict(result.profile),
-        "multipliers": {"beta": result.multipliers.beta, "mu": result.multipliers.mu},
-        "entropy_S": result.entropy_S,
-        "residuals": list(result.residuals),
-        "branch": result.branch,
-        "iterations": list(result.iterations),
-        "converged": result.converged,
-        "el_residual": result.el_residual,
-        "degenerate": result.degenerate,
-        "candidates": [dict(c, residuals=list(c["residuals"])) for c in result.candidates],
-    }
+    record = {f.name: getattr(result, f.name) for f in fields(result)}
+    return dict(record, profile=profile_to_dict(result.profile),
+                multipliers={"beta": result.multipliers.beta, "mu": result.multipliers.mu})

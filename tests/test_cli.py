@@ -105,6 +105,13 @@ class TestSampleAndEnumerate:
         assert stats["chain_acceptance"] == [stats["acceptance_rate"]]  # one chain
         assert (out / "mean_profile.csv").exists()
 
+    def test_sample_empty_window_is_infeasible(self, cfg, tmp_path, capsys):
+        # no configuration of 5 particles on 20 sites reaches this energy
+        rc = run(["sample", "--config", cfg, "--n", "20", "--rho", "0.25", "--xi", "100",
+                  "--delta", "1e-6", "--steps", "10", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "anneal" in capsys.readouterr().err
+
     def test_enumerate_record(self, cfg, tmp_path, capsys):
         out = tmp_path / "o"
         rc = run(["enumerate", "--config", cfg, "--n", "12", "--xi", "0.4375",

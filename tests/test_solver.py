@@ -1,8 +1,10 @@
 """Per-seed Newton-KKT path, multistart driver, optimizer certificates, diagnostics."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latgas as lg
@@ -30,6 +32,11 @@ class TestSolveMultipliers:
         for rho in (1.5, 0.0):
             with pytest.raises(ValueError):
                 lg.solve_multipliers(kernel256, 0.1, rho, lg.constant_profile(256, 0.5))
+
+    @pytest.mark.parametrize("m", [128, 257])
+    def test_seed_grid_must_match_kernel(self, kernel256, m):
+        with pytest.raises(ValueError, match="grid sizes"):
+            lg.solve_multipliers(kernel256, XI_CURVE, RHO, lg.constant_profile(m, RHO))
 
     @pytest.mark.parametrize("xi", [np.nan, np.inf, -np.inf])
     def test_xi_must_be_finite(self, kernel256, xi):
@@ -69,6 +76,18 @@ class TestSolveEntropy:
         v = solve_below.profile.values
         assert int(np.argmax(v)) == solve_below.profile.m // 2
 
+    @pytest.mark.parametrize("values,peak", [
+        ([0.1, 0.2, 0.5, 0.5, 0.2, 0.1, 0.0, 0.0], 2),  # an even peak on two cells
+        ([0.5, 0.2, 0.1, 0.0, 0.0, 0.1, 0.2, 0.5], 7),  # the same, across the wrap
+        ([0.5, 0.1, 0.5, 0.5, 0.1, 0.1, 0.1, 0.5], 2),  # two runs: the lowest-index start
+        ([0.3] * 8, 0),
+    ])
+    def test_align_peak_tie_rule(self, values, peak):
+        # ties within PEAK_TIE_EPS of the maximum count as the maximum
+        v = np.array(values) + np.array([0, 1, 0, 1, 0, 1, 0, 1]) * solver.PEAK_TIE_EPS / 4
+        out = lg.align_peak(lg.make_profile(v)).values
+        np.testing.assert_array_equal(out, np.roll(v, 4 - peak))
+
     def test_candidates_reported(self, solve_above):
         cands = solve_above.candidates
         assert len(cands) == len(lg.default_seeds(256, RHO))
@@ -79,6 +98,28 @@ class TestSolveEntropy:
         # the constant seed comes first and converges: no other seed runs
         assert len(solve_on_curve.candidates) == 1
         assert solve_on_curve.candidates[0]["branch"] == "constant"
+
+    def test_no_dense_table(self, pot_a2, monkeypatch):
+        K = lg.cell_kernel(pot_a2, 1024)
+        res = lg.solve_entropy(pot_a2, XI_CURVE - 0.02, RHO, m=1024, kernel=K)
+        assert res.converged and res.branch == "unimodal"
+        assert "entries" not in K.__dict__
+
+        def entries_must_not_build(self):
+            raise AssertionError("the dense kernel table was built")
+
+        monkeypatch.setattr(lg.KernelMatrix, "entries", property(entries_must_not_build))
+        scan = lg.scan_transition(pot_a2, RHO, [0.01, 0.02], m=64)
+        assert all(p.converged for p in scan.points)
+
+    def test_stop_reasons(self, solve_below, solve_above):
+        # the k = 3 seed below the curve and the k = 1 seed above it collapse
+        # towards the infeasible constant; every converged seed ends at tolerance
+        for res, stalled in ((solve_below, 3), (solve_above, 1)):
+            stops = [c["stop"] for c in res.candidates]
+            assert stops[stalled] == "stalled"  # seed k is candidate k
+            assert all(c["stop"] == "tolerance" for c in res.candidates if c["converged"])
+            assert res.stop == "tolerance"
 
     def test_jensen_stop_keeps_winner(self, pot_a2, kernel256, solve_on_curve):
         # with the constant seed last all seven run, and the winner is the same
@@ -115,6 +156,64 @@ def test_regression_table(pot_a2, kernel256, rho, dxi, branch, S):
     assert res.converged
     assert res.branch == branch
     assert res.entropy_S == pytest.approx(S, abs=1e-9)
+
+
+# the converged flag of each default seed (constant, k = 1..6), m = 256, as the
+# solver that ran the full (m + 2)-unknown Newton system without the stall rule
+# gave them; a seed the stall rule stopped early would read 0 here
+CONVERGED_SEEDS = {
+    0.18: ["0100000", "0100000", "0100000", "0011111", "0111111", "0111101"],
+    0.20: ["0100000", "0100000", "0100000", "0111111", "0011111", "0011111"],
+    0.23: ["0100000", "0100000", "0100000", "0011111", "0011111", "0011111"],
+    0.25: ["0100000", "0100000", "0100000", "0011101", "0011101", "0111111"],
+}
+DELTAS = [-0.02, -0.01, -0.005, 0.005, 0.01, 0.02]
+
+
+@pytest.mark.parametrize("rho", sorted(CONVERGED_SEEDS))
+def test_converged_seeds(pot_a2, kernel256, rho):
+    flags = ["".join("1" if c["converged"] else "0" for c in
+                     lg.solve_entropy(pot_a2, 7.0 * rho * rho + d, rho, m=256,
+                                      kernel=kernel256).candidates) for d in DELTAS]
+    assert flags == CONVERGED_SEEDS[rho]
+
+
+# converged candidates at odd m = 129 (axis through the centre cell), rho = 0.23,
+# as the full (m + 2)-unknown Newton system found them: (branch, S) per seed
+ODD_GRID_CANDIDATES = {
+    -0.02: [(1, "unimodal", -0.19005778772589843)],
+    0.02: [(2, "multimodal(2)", -0.23072357205347563), (3, "multimodal(3)", -0.19461964665175513),
+           (4, "multimodal(4)", -0.27172107283862823), (5, "multimodal(10)", -0.3447942379778257),
+           (6, "multimodal(6)", -0.29578637272317365)],
+}
+
+
+@pytest.mark.parametrize("dxi", sorted(ODD_GRID_CANDIDATES))
+def test_odd_grid(pot_a2, dxi):
+    res = lg.solve_entropy(pot_a2, XI_CURVE + dxi, RHO, m=129)
+    got = [(i, c["branch"], c["entropy_S"]) for i, c in enumerate(res.candidates) if c["converged"]]
+    want = ODD_GRID_CANDIDATES[dxi]
+    assert [g[:2] for g in got] == [w[:2] for w in want]
+    np.testing.assert_allclose([g[2] for g in got], [w[2] for w in want], rtol=0, atol=1e-10)
+    assert res.certificate["morse_index"] == 0
+    assert res.certificate["odd_inertia"] == (63, 0, 1)  # m - h = 64 mirrored cells
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_certificate_matches_dense_at_odd_grid(pot_a2, k):
+    # the two-block Morse index and zero count against the projected Hessian of
+    # the dense table, on the odd grid where the centre cell has no mirror; the
+    # zero is the translation mode, which the coarse 10-bump saddle does not keep
+    K = lg.cell_kernel(pot_a2, 129)
+    res = lg.solve_multipliers(K, XI_CURVE + 0.02, RHO, lg.default_seeds(129, RHO)[k])
+    assert res.converged
+    f, A = res.profile.values, K.entries
+    hess = np.diag(1.0 / (f * (1.0 - f))) - res.multipliers.beta * A / 129
+    q, _ = np.linalg.qr(np.column_stack([A @ f, np.ones(129)]), mode="complete")
+    eig = np.linalg.eigvalsh(q[:, 2:].T @ hess @ q[:, 2:])
+    zero = np.abs(eig) < 1e-8 * np.abs(eig).max()
+    assert res.certificate["morse_index"] == int(np.sum(eig[~zero] < 0))
+    assert res.certificate["odd_inertia"][2] == int(zero.sum())
 
 
 def loop_peak_count(s, thresh, tie_eps=1e-12):
@@ -226,10 +325,16 @@ class TestOptimizerInvariants:
 
     @pytest.mark.parametrize("name", ["solve_below", "solve_above"])
     def test_second_order_certificate(self, kernel256, request, name):
-        # Hessian of the Lagrangian, diag(1/(f(1-f))) - beta A/m, projected onto
-        # the null space of the constraint gradients 2Af/m and 1: positive
-        # definite except for the one zero mode of translation
+        # the solver's two-block certificate: a nonsingular even KKT block with
+        # the two negative directions of the constraints, and the odd block's
+        # one zero, the translation mode
         res = request.getfixturevalue(name)
+        assert res.certificate == {"even_inertia": (128, 2, 0), "odd_inertia": (127, 0, 1),
+                                   "morse_index": 0, "licq": True}
+        # cross-check on the dense table: the Hessian of the Lagrangian,
+        # diag(1/(f(1-f))) - beta A/m, projected onto the null space of the
+        # constraint gradients 2Af/m and 1, is positive definite except for
+        # the one zero mode of translation
         f = res.profile.values
         A = kernel256.entries
         hess = np.diag(1.0 / (f * (1.0 - f))) - res.multipliers.beta * A / 256
@@ -240,6 +345,29 @@ class TestOptimizerInvariants:
         zero = np.abs(eig) < 1e-8 * eig.max()
         assert int(zero.sum()) == 1
         assert np.all(eig[~zero] > 0.0)
+
+    def test_loser_certificates(self, solve_above):
+        # above the curve the losing k-bump candidates are saddles: negative
+        # eigenvalues of the even KKT block plus those of the odd block
+        negative = {c["branch"]: (c["certificate"]["even_inertia"][1],
+                                  c["certificate"]["odd_inertia"][1])
+                    for c in solve_above.candidates if c["converged"]}
+        assert negative == {"multimodal(2)": (3, 1), "multimodal(3)": (2, 0),
+                            "multimodal(4)": (5, 3), "multimodal(6)": (6, 4),
+                            "multimodal(10)": (10, 7)}
+        assert all(c["certificate"] is None for c in solve_above.candidates
+                   if not c["converged"])
+
+    def test_degenerate_certificate_on_curve(self, solve_on_curve):
+        # at the constant the two constraint gradients are parallel: one
+        # border direction is lost and the even block is singular
+        assert solve_on_curve.certificate == {"even_inertia": (128, 1, 1),
+                                              "odd_inertia": (128, 0, 0),
+                                              "morse_index": 0, "licq": False}
+
+    def test_seed_without_reflection_axis_refused(self, kernel256, rng):
+        with pytest.raises(ValueError, match="reflection axis"):
+            lg.solve_multipliers(kernel256, XI_CURVE, RHO, rng.uniform(0.1, 0.4, 256))
 
     def test_nonconstant_off_curve(self, solve_below, solve_above):
         assert solve_below.branch != "constant"
@@ -261,6 +389,22 @@ class TestOptimizerInvariants:
         best = min(float(np.max(np.abs(np.roll(a, s) - b))) for s in range(256))
         assert best < 1e-7
 
+    @given(st.sampled_from([128, 129]), st.integers(1, 6), st.integers(1, 127),
+           st.sampled_from([-0.02, 0.02]))
+    @settings(max_examples=16)
+    def test_shift_covariance(self, pot_a2, m, k, shift, dxi):
+        # a default seed rolled by any shift gives the unrolled seed's
+        # candidate, rolled by the same shift
+        K = lg.cell_kernel(pot_a2, m)
+        seed = lg.default_seeds(m, RHO)[k]
+        a = lg.solve_multipliers(K, XI_CURVE + dxi, RHO, seed)
+        b = lg.solve_multipliers(K, XI_CURVE + dxi, RHO, np.roll(seed.values, shift))
+        assert a.converged == b.converged and a.stop == b.stop
+        assert b.entropy_S == pytest.approx(a.entropy_S, abs=1e-10)
+        if a.converged:
+            gap = np.max(np.abs(np.roll(a.profile.values, shift) - b.profile.values))
+            assert gap < 1e-7
+
     def test_discrete_continuity_refinement(self, pot_a2):
         gaps = []
         for m in (128, 256, 512):
@@ -280,3 +424,6 @@ class TestSerialization:
         assert d["branch"] == "unimodal"
         its, halvings = d["iterations"]
         assert 0 < its and 0 <= halvings
+        assert d["stop"] == "tolerance" and d["certificate"]["morse_index"] == 0
+        assert all({"stop", "certificate"} <= set(c) for c in d["candidates"])
+        json.dumps(d)
