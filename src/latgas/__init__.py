@@ -28,7 +28,6 @@ from .functional import (
     gradients,
     hbin,
     hbin_prime,
-    hbin_second,
     indicator_profile,
     make_profile,
     profile_from_csv,
@@ -37,8 +36,6 @@ from .functional import (
 )
 from .lattice import (
     LatticeConfig,
-    config_from_text,
-    config_to_text,
     energy_density,
     make_config,
     particle_density,
@@ -53,14 +50,12 @@ from .solver import (
     default_seeds,
     solve_entropy,
     solve_multipliers,
-    solve_result_to_dict,
 )
 from .transition import (
     FeasibilityProbe,
     TransitionScan,
     convexity_gap_constant,
     feasibility_probe,
-    scan_summary_dict,
     scan_to_csv,
     scan_transition,
     spectral_radius,
@@ -72,7 +67,6 @@ from .ensemble import (
     enumerate_entropy,
     enumeration_record,
     mcmc_sample,
-    stats_to_dict,
 )
 
 __version__ = "0.1.0"

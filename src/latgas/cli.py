@@ -2,8 +2,9 @@
 
 Configs are plain-text key=value files with [section] headers; command-line
 flags override file values.  Every command writes deterministic CSV records
-(floats at 12 significant digits) plus a JSON record whose meta block is the
-only place a timestamp appears.
+(floats at 12 significant digits); solve, scan and sample also write a JSON
+record of their result's fields, whose meta block is the only place a
+timestamp appears.
 
 Exit codes: 0 success, 1 internal error, 2 infeasible/unconverged, 3 config
 error (a bad config file, an unknown section or key, an unreadable profile
@@ -13,11 +14,14 @@ CSV, or input the library rejects with ValueError).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import ensemble, functional, potential, solver, transition
 
@@ -122,21 +126,27 @@ def _read_profile(path: str) -> functional.OccupancyProfile:
         raise ConfigError(f"unreadable profile CSV {path}: {exc}") from exc
 
 
-def _json_record(payload: dict) -> str:
-    record = {"schema_version": SCHEMA_VERSION}
-    record.update(_sanitize(payload))
-    record["meta"] = {"created_unix": time.time()}
-    return json.dumps(record, indent=2) + "\n"
+def _json_record(result) -> str:
+    """A result dataclass as strict JSON: its fields between schema_version and meta."""
+    record = {"schema_version": SCHEMA_VERSION, **_plain(result),
+              "meta": {"created_unix": time.time()}}
+    return json.dumps(record, indent=2, allow_nan=False) + "\n"
 
 
-def _sanitize(obj):
-    """Replace non-finite floats so the JSON stays standard."""
+def _plain(obj):
+    """JSON-ready copy: a dataclass becomes the dict of its fields, arrays and
+    tuples become lists, numpy scalars Python values, and a non-finite float
+    its repr ("nan", "inf", "-inf"), so the JSON stays standard."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
     return obj
 
 
@@ -155,7 +165,7 @@ def cmd_solve(args, sections, pot) -> int:
     rho = _get(sections, "window", "rho", float, flag=args.rho)
     result = solver.solve_entropy(pot, xi_t, rho, m=m)
     out = _out_dir(args)
-    (out / "solve_result.json").write_text(_json_record(solver.solve_result_to_dict(result)))
+    (out / "solve_result.json").write_text(_json_record(result))
     (out / "profile.csv").write_text(functional.profile_to_csv(result.profile))
     print(f"converged={'true' if result.converged else 'false'} "
           f"branch={result.branch} S={fmt(result.entropy_S)} "
@@ -176,7 +186,7 @@ def cmd_scan(args, sections, pot) -> int:
         raise InfeasibleError(str(exc)) from exc
     out = _out_dir(args)
     (out / "scan.csv").write_text(transition.scan_to_csv(scan))
-    (out / "scan_summary.json").write_text(_json_record(transition.scan_summary_dict(scan)))
+    (out / "scan_summary.json").write_text(_json_record(scan))
     print(f"kink_ok={'true' if scan.kink_ok else 'false'} "
           f"left_slope={fmt(scan.left_slope)} right_slope={fmt(scan.right_slope)} "
           f"bound={fmt(scan.kink_lower_bound)}")
@@ -202,7 +212,7 @@ def cmd_sample(args, sections, pot) -> int:
     except RuntimeError as exc:  # the anneal found no state in the energy window
         raise InfeasibleError(str(exc)) from exc
     out = _out_dir(args)
-    (out / "mcmc_stats.json").write_text(_json_record(ensemble.stats_to_dict(stats)))
+    (out / "mcmc_stats.json").write_text(_json_record(stats))
     (out / "mean_profile.csv").write_text(functional.profile_to_csv(stats.mean_profile))
     print(f"acceptance_rate={fmt(stats.acceptance_rate)} "
           f"stuck={'true' if stats.stuck_warning else 'false'}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .functional import OccupancyProfile, block_average, make_profile, profile_to_dict
+from .functional import OccupancyProfile, block_average, make_profile
 from .potential import Potential, pair_row
 
 ENUM_CAP = 24
@@ -168,6 +168,8 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     """
     if steps < 1 or chains < 1:
         raise ValueError("steps and chains must be at least 1")
+    if n < 2:
+        raise ValueError("n must be at least 2")
     k = int(round(window.rho * n))
     if not window.rho - window.delta < k / n < window.rho + window.delta:
         raise ValueError("round(rho n)/n leaves the density window; enlarge delta or n")
@@ -351,21 +353,3 @@ def compare_profile(stats: McmcStats, f_star: OccupancyProfile) -> float:
         if d < best:
             best = d
     return best
-
-
-def stats_to_dict(stats: McmcStats) -> dict:
-    return {
-        "n": stats.n,
-        "chains": stats.chains,
-        "steps": stats.steps,
-        "accepted_moves": stats.accepted_moves,
-        "proposals": stats.proposals,
-        "acceptance_rate": stats.acceptance_rate,
-        "particles": stats.particles,
-        "energy_trace_summary": list(stats.energy_trace_summary),
-        "seed": stats.seed,
-        "rng_name": stats.rng_name,
-        "stuck_warning": stats.stuck_warning,
-        "chain_acceptance": list(stats.chain_acceptance),
-        "mean_profile": profile_to_dict(stats.mean_profile),
-    }

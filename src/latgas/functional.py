@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import matmul_toeplitz
 
 from .potential import KernelMatrix, lag_sums
 
@@ -33,7 +34,7 @@ def make_profile(values) -> OccupancyProfile:
     vals = np.asarray(values, dtype=float).copy()
     if vals.ndim != 1 or vals.size < 2:
         raise ValueError("a profile needs at least two cells")
-    if np.any(vals < 0.0) or np.any(vals > 1.0):
+    if not np.all((vals >= 0.0) & (vals <= 1.0)):  # NaN fails both comparisons
         raise ValueError("profile values must lie in [0, 1]")
     vals.flags.writeable = False
     return OccupancyProfile(m=vals.size, values=vals)
@@ -85,12 +86,6 @@ def hbin_prime(t):
     return np.log(arr) - np.log1p(-arr)
 
 
-def hbin_second(t):
-    """Second derivative 1 / (t (1 - t)) of hbin on (0, 1)."""
-    arr = np.asarray(t, dtype=float)
-    return 1.0 / (arr * (1.0 - arr))
-
-
 def entropy_H(f: OccupancyProfile) -> float:
     """Grid entropy rate (1/m) sum hbin(f_i); +inf if any value escapes [0, 1]."""
     return float(np.mean(hbin(f.values)))
@@ -108,9 +103,13 @@ def density_N(f: OccupancyProfile) -> float:
 
 
 def apply_kernel(K: KernelMatrix, f: OccupancyProfile) -> np.ndarray:
-    """The smoothed field (1/m) K f, i.e. the kernel operator applied to f."""
+    """The smoothed field (1/m) K f, i.e. the kernel operator applied to f.
+
+    The table is the symmetric Toeplitz matrix of the row, so the product is
+    an FFT convolution with the row and no m x m table is built.
+    """
     _check_sizes(f, K)
-    return (K.entries @ f.values) / f.m
+    return matmul_toeplitz((K.row, K.row), f.values) / f.m
 
 
 def gradients(f: OccupancyProfile, K: KernelMatrix):
@@ -158,11 +157,6 @@ def profile_to_csv(f: OccupancyProfile) -> str:
     for c, v in zip(centers, f.values):
         lines.append(f"{c:.12g},{v:.12g}")
     return "\n".join(lines) + "\n"
-
-
-def profile_to_dict(f: OccupancyProfile) -> dict:
-    """JSON block of a profile; every profile the package makes is periodic."""
-    return {"m": f.m, "periodic": True, "values": [float(v) for v in f.values]}
 
 
 def profile_from_csv(text: str) -> OccupancyProfile:

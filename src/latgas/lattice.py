@@ -18,9 +18,6 @@ import numpy as np
 from .functional import OccupancyProfile, block_average, make_profile
 from .potential import Potential, kernel_row, lag_sums, pair_row
 
-SITE_CAP = 1 << 26
-
-
 @dataclass(frozen=True, eq=False)
 class LatticeConfig:
     """Occupancy bits on a chain of n sites."""
@@ -32,13 +29,11 @@ class LatticeConfig:
 def make_config(n: int, occupancy) -> LatticeConfig:
     if n < 1:
         raise ValueError("the number of sites must be positive")
-    if n > SITE_CAP:
-        raise ValueError(f"n = {n} exceeds the configured cap {SITE_CAP}")
     occ = np.asarray(occupancy).astype(np.uint8).ravel()
     if occ.size != n:
         raise ValueError(f"occupancy length {occ.size} does not match n = {n}")
     if np.any(occ > 1):
-        raise ValueError("occupancy entries must be 0 or 1")
+        raise ValueError("occupancy values must be 0 or 1")
     occ.flags.writeable = False
     return LatticeConfig(n=n, occupancy=occ)
 
@@ -83,22 +78,3 @@ def riemann_discrepancy(n: int, pot: Potential) -> float:
     """
     gap = np.abs(pair_row(pot, n) - kernel_row(pot, n))
     return float(np.rint(lag_sums(np.ones(n), pot.periodic)) @ gap) / (n * n)
-
-
-# --- text round trip ------------------------------------------------------
-
-def config_to_text(cfg: LatticeConfig) -> str:
-    """Header line "1 n" (dimension, sites) followed by the 0/1 site string."""
-    bits = "".join("1" if b else "0" for b in cfg.occupancy)
-    return f"1 {cfg.n}\n{bits}\n"
-
-
-def config_from_text(text: str) -> LatticeConfig:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 2:
-        raise ValueError("expected a header line and a bit string")
-    d, n = (int(tok) for tok in lines[0].split())
-    if d != 1:
-        raise ValueError(f"lattice configurations are one dimensional, got d = {d}")
-    bits = [int(ch) for ch in lines[1]]
-    return make_config(n, bits)

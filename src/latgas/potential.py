@@ -15,11 +15,12 @@ Every pair table is the symmetric Toeplitz matrix of one stored offset row:
 :func:`kernel_row` holds the cell-pair averages of psi that every continuum
 functional is built on, :func:`pair_row` the values of psi at the lattice
 site offsets.  A quadratic form of a table is its row dotted with the pair
-sums :func:`lag_sums` of the vector, so the dense table is built only for a
-dense apply or solve.  The integrated interaction (the double integral of
-psi(|x - y|) over the unit square) and the kernel row come from closed-form
-antiderivatives of the power-law, plateau and linear segments, so neither
-carries quadrature error.
+sums :func:`lag_sums` of the vector and a product with the table is an FFT
+Toeplitz product of the row, so no m x m table is stored; the solver works
+on the half-size blocks of :attr:`KernelMatrix.folded`.  The integrated
+interaction (the double integral of psi(|x - y|) over the unit square) and
+the kernel row come from closed-form antiderivatives of the power-law,
+plateau and linear segments, so neither carries quadrature error.
 """
 
 from __future__ import annotations
@@ -98,20 +99,15 @@ class KernelMatrix:
 
     row[k] equals m^2 times the integral of psi(|x - y|) over cell_0 x cell_k
     (:func:`kernel_row`).  The table is the symmetric Toeplitz matrix of the
-    row, circulant when periodic; entries builds it, read-only, on first use.
-    folded holds, for a periodic table, its two half-size blocks on profiles
-    even and odd under the reflection i <-> m-1-i.
+    row, circulant when periodic, and is never stored: callers that need it
+    dense build toeplitz(row).  folded holds, for a periodic table, its two
+    half-size blocks on profiles even and odd under the reflection
+    i <-> m-1-i, built on first use.
     """
 
     m: int
     row: np.ndarray
     periodic: bool
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        ent = toeplitz(self.row)
-        ent.flags.writeable = False
-        return ent
 
     @cached_property
     def folded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ the constant ends the multistart (Jensen stop, see solve_entropy).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -33,7 +33,6 @@ from .functional import (
     hbin,
     hbin_prime,
     make_profile,
-    profile_to_dict,
 )
 from .potential import KernelMatrix, Potential, cell_kernel
 
@@ -345,14 +344,3 @@ def _peak_count(branch: str) -> int:
     if branch.startswith("multimodal"):
         return int(branch[len("multimodal("):-1])
     return {"constant": 0, "unimodal": 1}.get(branch, 0)
-
-
-def solve_result_to_dict(result: SolveResult) -> dict:
-    """JSON-ready record with fields named as in the result type.
-
-    iterations is [Newton iterations, backtracking halvings] of the winning
-    seed's Newton-KKT run; the candidates carry their stop and certificate.
-    """
-    record = {f.name: getattr(result, f.name) for f in fields(result)}
-    return dict(record, profile=profile_to_dict(result.profile),
-                multipliers={"beta": result.multipliers.beta, "mu": result.multipliers.mu})

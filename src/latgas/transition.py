@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .functional import (
     constant_profile,
@@ -142,7 +143,7 @@ def spectral_radius(K: KernelMatrix) -> float:
     """
     if K.periodic:
         return float(np.max(np.abs(np.fft.rfft(K.row)))) / K.m
-    return float(np.max(np.abs(np.linalg.eigvalsh(K.entries / K.m))))
+    return float(np.max(np.abs(np.linalg.eigvalsh(toeplitz(K.row) / K.m))))
 
 
 def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> TransitionScan:
@@ -228,18 +229,3 @@ def scan_to_csv(scan: TransitionScan) -> str:
             f"{p.xi_target:.12g},{p.S:.12g},{p.branch},{p.beta:.12g},{p.mu:.12g},"
             f"{'true' if p.converged else 'false'}")
     return "\n".join(lines) + "\n"
-
-
-def scan_summary_dict(scan: TransitionScan) -> dict:
-    return {
-        "rho": scan.rho,
-        "lambda": scan.lam,
-        "left_slope": scan.left_slope,
-        "right_slope": scan.right_slope,
-        "c": scan.c,
-        "sigma": scan.sigma,
-        "kink_lower_bound": scan.kink_lower_bound,
-        "S_curve": scan.S_curve,
-        "kink_ok": scan.kink_ok,
-        "within_hypotheses": scan.within_hypotheses,
-    }

@@ -1,10 +1,11 @@
 """End-to-end CLI runs: configs in, records out, exit codes as documented."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from latgas import cli
+from latgas import cli, ensemble, solver, transition
 
 CONFIG = """\
 [potential]
@@ -217,7 +218,9 @@ class TestConfigErrors:
         header.write_text("not,a,profile\n1,2,3\n")
         row = tmp_path / "row.csv"
         row.write_text("cell_center,value\n0.25\n0.75,0.5\n")
-        for path in (missing, header, row):
+        nan = tmp_path / "nan.csv"
+        nan.write_text("cell_center,value\n0.25,nan\n0.75,0.5\n")
+        for path in (missing, header, row, nan):
             for args in (["eval", "--profile", str(path)],
                          ["sample", "--n", "32", "--init-profile", str(path)]):
                 assert run(args + ["--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -237,6 +240,7 @@ class TestInputErrors:
         ["sample", "--n", "64", "--steps", "0"],
         ["sample", "--n", "64", "--chains", "0"],
         ["sample", "--n", "1"],
+        ["sample", "--n", "0"],
         ["solve", "--xi", "nan"],
         ["solve", "--xi", "inf"],
         ["scan", "--deltas", "nan,0.01"],
@@ -259,6 +263,38 @@ class TestInputErrors:
     def test_unused_flags_refused(self, cfg, args):
         with pytest.raises(SystemExit):
             run(args + ["--config", cfg])
+
+
+class TestJsonRecords:
+    def test_records_are_strict_json_of_the_result_fields(self, cfg, tmp_path):
+        def refuse(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        runs = (
+            (["solve"], "solve_result.json", solver.SolveResult),
+            (["sample", "--n", "32", "--steps", "2000", "--chains", "1", "--delta", "0.05"],
+             "mcmc_stats.json", ensemble.McmcStats),
+            # the two outer points do not converge, so their S is NaN
+            (["scan", "--rho", "0.23", "--deltas", "0.01,3", "--grid", "64"],
+             "scan_summary.json", transition.TransitionScan),
+        )
+        records = {}
+        for args, name, result_type in runs:
+            out = tmp_path / name
+            assert run(args + ["--config", cfg, "--out", str(out)]) == 0
+            record = json.loads((out / name).read_text(), parse_constant=refuse)
+            assert set(record) == ({f.name for f in fields(result_type)}
+                                   | {"schema_version", "meta"})
+            records[name] = record
+        solve = records["solve_result.json"]
+        assert set(solve["profile"]) == {"m", "values"} and len(solve["profile"]["values"]) == 64
+        assert set(solve["multipliers"]) == {"beta", "mu"}
+        stats = records["mcmc_stats.json"]
+        assert stats["state_counts"] is None and len(stats["mean_profile"]["values"]) == 32
+        scan = records["scan_summary.json"]
+        assert scan["lam"] == 7.0 and scan["kink_ok"] is True
+        assert [p["S"] == "nan" for p in scan["points"]] == [True, False, False, False, True]
+        assert [p["converged"] for p in scan["points"]] == [False, True, True, True, False]
 
 
 class TestDeterminism:

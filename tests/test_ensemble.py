@@ -1,6 +1,7 @@
 """Exact window enumeration and the window-constrained swap sampler."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 import latgas as lg
-from latgas import ensemble
+from latgas import cli, ensemble
 
 RHO = 0.23
 XI_CURVE = 7.0 * RHO * RHO
@@ -369,7 +370,6 @@ class TestMcmc:
         assert len(set(stats.chain_acceptance)) > 1  # each chain counts its own moves
         assert np.mean(stats.chain_acceptance) == pytest.approx(stats.acceptance_rate,
                                                                  rel=1e-12)
-        assert lg.stats_to_dict(stats)["chain_acceptance"] == list(stats.chain_acceptance)
 
     @pytest.mark.parametrize("steps,chains", [(0, 1), (10, 0)])
     def test_empty_run_refused(self, pot_a2, steps, chains):
@@ -407,9 +407,13 @@ class TestCompareProfile:
             lg.compare_profile(stats, solve_below.profile)
 
     def test_stats_dict(self, pot_a2):
+        # the JSON record keeps every field, the visited-state counts included
         window = lg.EnsembleWindow(xi=XI_CURVE, rho=RHO, delta=0.05)
-        stats = lg.mcmc_sample(32, pot_a2, window, steps=500, chains=1, rng_seed=11)
-        d = lg.stats_to_dict(stats)
+        stats = lg.mcmc_sample(32, pot_a2, window, steps=500, chains=2, rng_seed=11,
+                               track_states=True)
+        d = json.loads(cli._json_record(stats))
         assert d["rng_name"] == "philox"
         assert d["seed"] == 11
-        assert len(d["mean_profile"]["values"]) == 32
+        assert d["mean_profile"] == {"m": 32, "values": stats.mean_profile.values.tolist()}
+        assert d["chain_acceptance"] == list(stats.chain_acceptance)
+        assert {int(k): v for k, v in d["state_counts"].items()} == stats.state_counts

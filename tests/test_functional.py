@@ -35,6 +35,12 @@ class TestHbin:
         t = rng.uniform(0.0, 1.0, 500)
         assert np.all(lg.hbin(t) >= 0.0)
 
+    @given(st.floats(0.0, 1.0))
+    def test_bounded_and_symmetric(self, t):
+        t = 1.0 - (1.0 - t)  # now 1 - t is exact, so the two sides must agree bitwise
+        assert 0.0 <= lg.hbin(t) <= LOG2
+        assert lg.hbin(t) == lg.hbin(1.0 - t)
+
 
 class TestEntropy:
     def test_half_profile_zero(self):
@@ -91,7 +97,7 @@ class TestApplyKernel:
         v[17] = 1.0
         f = lg.make_profile(v)
         np.testing.assert_allclose(lg.apply_kernel(kernel256, f),
-                                   kernel256.entries[17] / 256, rtol=1e-12)
+                                   toeplitz(kernel256.row)[17] / 256, rtol=1e-12)
 
     def test_commutes_with_shift(self, kernel256, rng):
         v = rng.uniform(0.0, 1.0, 256)
@@ -142,7 +148,7 @@ class TestQuadraticFormProperties:
             lhs = (lg.xi(lg.make_profile(f + g), kernel256)
                    - lg.xi(lg.make_profile(f), kernel256)
                    - lg.xi(lg.make_profile(g), kernel256))
-            rhs = 2.0 * float(f @ (kernel256.entries @ g)) / 256 ** 2
+            rhs = 2.0 * float(f @ (toeplitz(kernel256.row) @ g)) / 256 ** 2
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
     def test_nonnegative(self, kernel256, rng):
@@ -166,12 +172,25 @@ class TestQuadraticFormProperties:
         assert abs(got - dense) <= 1e-13 * max(abs(dense), scale)
 
     def test_dense_table_stays_lazy(self, pot_a2, rng):
-        K = lg.cell_kernel(pot_a2, 128)
-        lg.xi(lg.make_profile(rng.uniform(0.0, 1.0, 128)), K)
-        lg.spectral_radius(K)
-        assert "entries" not in vars(K)
-        assert np.array_equal(K.entries, toeplitz(K.row))
-        assert not K.entries.flags.writeable
+        # the functionals read the row; the folded half-size tables are built
+        # for the solver on first use, and act as the dense table on even and
+        # on odd profiles (the odd grid's centre cell is its own mirror)
+        for m in (128, 129):
+            K = lg.cell_kernel(pot_a2, m)
+            f = lg.make_profile(rng.uniform(0.0, 1.0, m))
+            lg.xi(f, K)
+            lg.apply_kernel(K, f)
+            lg.gradients(f, K)
+            lg.spectral_radius(K)
+            assert "folded" not in vars(K)
+            At, Ao, w = K.folded
+            assert not any(b.flags.writeable for b in (At, Ao, w))
+            assert w.sum() == m
+            A, h, n = toeplitz(K.row), w.size, Ao.shape[0]
+            even, odd = f.values + f.values[::-1], f.values - f.values[::-1]
+            np.testing.assert_allclose(At @ even[:h], (A @ even)[:h], rtol=1e-12)
+            np.testing.assert_allclose(Ao @ odd[:n], (A @ odd)[:n], rtol=0,
+                                       atol=1e-12 * np.abs(A @ odd).max())
 
 
 class TestProfilePlumbing:
@@ -180,10 +199,14 @@ class TestProfilePlumbing:
             lg.make_profile([0.5])
         with pytest.raises(ValueError):
             lg.make_profile([0.5, 1.2])
+        with pytest.raises(ValueError):
+            lg.make_profile([0.5, math.nan])
 
-    def test_csv_roundtrip(self, rng):
-        f = lg.make_profile(rng.uniform(0.0, 1.0, 32))
+    @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=300))
+    def test_csv_roundtrip(self, values):
+        f = lg.make_profile(values)
         back = lg.profile_from_csv(lg.profile_to_csv(f))
+        assert back.m == f.m
         np.testing.assert_allclose(back.values, f.values, rtol=1e-11)
 
     def test_block_average(self):
@@ -192,3 +215,18 @@ class TestProfilePlumbing:
         np.testing.assert_allclose(lg.block_average(v, 8), np.repeat(v, 2))
         with pytest.raises(ValueError):
             lg.block_average(v, 3)
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12), st.integers(1, 8))
+    def test_block_average_inverts_repeat(self, values, q):
+        v = np.array(values)
+        np.testing.assert_allclose(lg.block_average(np.repeat(v, q), v.size), v,
+                                   rtol=1e-14, atol=0)
+
+    @given(st.integers(1, 12), st.integers(1, 8), st.data())
+    def test_block_average_keeps_mean(self, coarse, q, data):
+        # coarsening by q and refining by 2 both keep the mean of a nested grid
+        fine = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=coarse * q,
+                                           max_size=coarse * q)))
+        for m_new in (coarse, 2 * coarse * q):
+            assert lg.block_average(fine, m_new).mean() == pytest.approx(fine.mean(),
+                                                                          rel=0, abs=1e-14)

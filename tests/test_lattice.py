@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 import latgas as lg
 
@@ -110,7 +111,7 @@ class TestRiemannDiscrepancy:
     def test_diagonal_lower_bound(self, pot_a2):
         n = 64
         K = lg.cell_kernel(pot_a2, n)
-        assert lg.riemann_discrepancy(n, pot_a2) >= K.entries[0, 0] / n
+        assert lg.riemann_discrepancy(n, pot_a2) >= K.row[0] / n
 
     def test_bounds_lattice_continuum_gap(self, pot_a2, rng):
         n = 64
@@ -126,7 +127,7 @@ class TestRiemannDiscrepancy:
     @pytest.mark.parametrize("n", [5, 16, 33])
     def test_matches_double_sum(self, n, periodic):
         pot = lg.Potential.power_plateau(0.5, 10.0, periodic=periodic)
-        K = lg.cell_kernel(pot, n).entries
+        K = toeplitz(lg.cell_kernel(pot, n).row)
         total = 0.0
         for i in range(n):
             for j in range(n):
@@ -141,23 +142,3 @@ class TestRiemannDiscrepancy:
         d4096 = lg.riemann_discrepancy(4096, pot_a2)
         d8192 = lg.riemann_discrepancy(8192, pot_a2)
         assert 0.0 < d8192 < d4096
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        cfg = lg.make_config(10, [1, 0, 0, 1, 1, 0, 1, 0, 0, 1])
-        back = lg.config_from_text(lg.config_to_text(cfg))
-        assert back.n == cfg.n
-        np.testing.assert_array_equal(back.occupancy, cfg.occupancy)
-
-    def test_header(self):
-        cfg = lg.make_config(3, [1, 0, 1])
-        assert lg.config_to_text(cfg).splitlines()[0] == "1 3"
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="one dimensional"):
-            lg.config_from_text("2 3\n101010101\n")
-
-    def test_site_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            lg.make_config(lg.lattice.SITE_CAP + 1, np.zeros(4))

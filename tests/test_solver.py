@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 import latgas as lg
-from latgas import solver
+from latgas import cli, solver
 
 RHO = 0.23
 XI_CURVE = 7.0 * RHO * RHO
@@ -98,19 +99,6 @@ class TestSolveEntropy:
         # the constant seed comes first and converges: no other seed runs
         assert len(solve_on_curve.candidates) == 1
         assert solve_on_curve.candidates[0]["branch"] == "constant"
-
-    def test_no_dense_table(self, pot_a2, monkeypatch):
-        K = lg.cell_kernel(pot_a2, 1024)
-        res = lg.solve_entropy(pot_a2, XI_CURVE - 0.02, RHO, m=1024, kernel=K)
-        assert res.converged and res.branch == "unimodal"
-        assert "entries" not in K.__dict__
-
-        def entries_must_not_build(self):
-            raise AssertionError("the dense kernel table was built")
-
-        monkeypatch.setattr(lg.KernelMatrix, "entries", property(entries_must_not_build))
-        scan = lg.scan_transition(pot_a2, RHO, [0.01, 0.02], m=64)
-        assert all(p.converged for p in scan.points)
 
     def test_stop_reasons(self, solve_below, solve_above):
         # the k = 3 seed below the curve and the k = 1 seed above it collapse
@@ -207,7 +195,7 @@ def test_certificate_matches_dense_at_odd_grid(pot_a2, k):
     K = lg.cell_kernel(pot_a2, 129)
     res = lg.solve_multipliers(K, XI_CURVE + 0.02, RHO, lg.default_seeds(129, RHO)[k])
     assert res.converged
-    f, A = res.profile.values, K.entries
+    f, A = res.profile.values, toeplitz(K.row)
     hess = np.diag(1.0 / (f * (1.0 - f))) - res.multipliers.beta * A / 129
     q, _ = np.linalg.qr(np.column_stack([A @ f, np.ones(129)]), mode="complete")
     eig = np.linalg.eigvalsh(q[:, 2:].T @ hess @ q[:, 2:])
@@ -305,7 +293,7 @@ class TestOptimizerInvariants:
         from scipy.special import expit
         f = solve_below.profile.values
         mult = solve_below.multipliers
-        z = mult.mu + mult.beta * (kernel256.entries @ f) / 256
+        z = mult.mu + mult.beta * (toeplitz(kernel256.row) @ f) / 256
         assert float(np.max(np.abs(f - expit(z)))) < 1e-7
 
     def test_local_optimality_under_projected_perturbations(self, kernel256,
@@ -336,7 +324,7 @@ class TestOptimizerInvariants:
         # constraint gradients 2Af/m and 1, is positive definite except for
         # the one zero mode of translation
         f = res.profile.values
-        A = kernel256.entries
+        A = toeplitz(kernel256.row)
         hess = np.diag(1.0 / (f * (1.0 - f))) - res.multipliers.beta * A / 256
         grads = np.column_stack([2.0 * (A @ f) / 256, np.ones(256)])
         q, _ = np.linalg.qr(grads, mode="complete")
@@ -417,13 +405,16 @@ class TestOptimizerInvariants:
 
 class TestSerialization:
     def test_result_dict(self, solve_below):
-        d = lg.solve_result_to_dict(solve_below)
-        assert set(d) >= {"profile", "multipliers", "entropy_S", "residuals",
-                          "branch", "iterations", "converged"}
-        assert len(d["profile"]["values"]) == 256
+        # the JSON record carries the result's values: floats bitwise, tuples as lists
+        d = json.loads(cli._json_record(solve_below))
+        assert d["profile"] == {"m": 256, "values": solve_below.profile.values.tolist()}
+        assert d["multipliers"] == {"beta": solve_below.multipliers.beta,
+                                    "mu": solve_below.multipliers.mu}
+        assert d["entropy_S"] == solve_below.entropy_S
         assert d["branch"] == "unimodal"
         its, halvings = d["iterations"]
         assert 0 < its and 0 <= halvings
         assert d["stop"] == "tolerance" and d["certificate"]["morse_index"] == 0
+        assert d["certificate"]["even_inertia"] == [128, 2, 0]
+        assert len(d["candidates"]) == len(solve_below.candidates)
         assert all({"stop", "certificate"} <= set(c) for c in d["candidates"])
-        json.dumps(d)
