@@ -56,7 +56,6 @@ from .transition import (
     TransitionScan,
     convexity_gap_constant,
     feasibility_probe,
-    scan_to_csv,
     scan_transition,
     spectral_radius,
 )
@@ -65,7 +64,6 @@ from .ensemble import (
     McmcStats,
     compare_profile,
     enumerate_entropy,
-    enumeration_record,
     mcmc_sample,
 )
 

@@ -1,10 +1,11 @@
 """Command line interface: experiment configs in, CSV/JSON records out.
 
-Configs are plain-text key=value files with [section] headers; command-line
-flags override file values.  Every command writes deterministic CSV records
-(floats at 12 significant digits); solve, scan and sample also write a JSON
-record of their result's fields, whose meta block is the only place a
-timestamp appears.
+Configs are plain-text key=value files with [section] headers.  Each setting
+is declared once, in SETTINGS: it is a flag of each command that reads it and
+a key of its section, and the flag wins.  Every CSV record is written by
+functional.csv_text (floats at 12 significant digits); solve, scan and sample
+also write a JSON record of their result's fields, whose meta block is the
+only place a timestamp appears.
 
 Exit codes: 0 success, 1 internal error, 2 infeasible/unconverged, 3 config
 error (a bad config file, an unknown section or key, an unreadable profile
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -32,10 +34,23 @@ EXIT_CONFIG = 3
 
 SCHEMA_VERSION = 1
 
+# name -> (config section, type, default or None when required, flag help)
+SETTINGS = {
+    "grid": ("solver", int, solver.DEFAULT_GRID, "profile grid size m"),
+    "xi": ("window", float, None, "energy xi (the window centre for sample and enumerate)"),
+    "rho": ("window", float, None, "particle density rho"),
+    "delta": ("window", float, 0.01, "half-width of the energy and density window"),
+    "deltas": ("window", str, "", "comma-separated offsets from the curve"),
+    "n": ("run", int, None, "lattice sites"),
+    "steps": ("run", int, 20000, "proposals per chain"),
+    "chains": ("run", int, 4, "independent chains"),
+    "seed": ("run", int, 1, "64-bit RNG seed"),
+}
+
 # the keys each config section takes
-SECTION_KEYS = {"potential": potential.CONFIG_KEYS, "solver": {"grid"},
-                "window": {"xi", "rho", "delta", "deltas"},
-                "run": {"n", "steps", "chains", "seed"}}
+SECTION_KEYS = {"potential": potential.CONFIG_KEYS,
+                **{section: {key for key, row in SETTINGS.items() if row[0] == section}
+                   for section, *_ in SETTINGS.values()}}
 
 
 class ConfigError(ValueError):
@@ -47,7 +62,7 @@ class InfeasibleError(RuntimeError):
 
 
 def fmt(x) -> str:
-    return f"{float(x):.12g}"
+    return format(float(x), functional.FLOAT_FORMAT)
 
 
 def parse_config(text: str) -> dict:
@@ -66,8 +81,10 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"config line {ln}: expected key=value, got {raw.strip()!r}")
         if current is None:
             raise ConfigError(f"config line {ln}: key=value outside any [section]")
-        key, val = line.split("=", 1)
-        sections[current][key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in sections[current]:
+            raise ConfigError(f"config line {ln}: [{current}] {key} is given a second time")
+        sections[current][key] = val
     return sections
 
 
@@ -98,18 +115,22 @@ def _potential_from(sections: dict) -> potential.Potential:
         raise ConfigError(f"bad [potential] section: {exc}") from exc
 
 
-def _get(sections, section, key, cast, default=None, flag=None):
-    if flag is not None:
-        return cast(flag)
-    block = sections.get(section, {})
-    if key in block:
-        try:
-            return cast(block[key])
-        except ValueError as exc:
-            raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
-    if default is None:
-        raise ConfigError(f"missing [{section}] {key} (no flag given)")
-    return default
+def _settings(args, sections) -> dict:
+    """The settings the command reads, in its order: each the flag if given,
+    else the config value, else the default."""
+    values = {}
+    for key in args.settings:
+        section, cast, default, _ = SETTINGS[key]
+        values[key] = getattr(args, key)
+        if values[key] is None:
+            raw = sections.get(section, {}).get(key)
+            if raw is None and default is None:
+                raise ConfigError(f"missing [{section}] {key} (no flag given)")
+            try:
+                values[key] = default if raw is None else cast(raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
+    return values
 
 
 def _out_dir(args) -> Path:
@@ -152,18 +173,15 @@ def _plain(obj):
 
 # --- commands ---------------------------------------------------------------
 
-def cmd_lambda(args, sections, pot) -> int:
+def cmd_lambda(args, pot) -> int:
     lam = potential.integrated_interaction(pot)
     print(fmt(lam))
-    (_out_dir(args) / "lambda.csv").write_text("lambda\n" + fmt(lam) + "\n")
+    (_out_dir(args) / "lambda.csv").write_text(functional.csv_text("lambda", [(lam,)]))
     return EXIT_OK
 
 
-def cmd_solve(args, sections, pot) -> int:
-    m = _get(sections, "solver", "grid", int, default=solver.DEFAULT_GRID, flag=args.grid)
-    xi_t = _get(sections, "window", "xi", float, flag=args.xi)
-    rho = _get(sections, "window", "rho", float, flag=args.rho)
-    result = solver.solve_entropy(pot, xi_t, rho, m=m)
+def cmd_solve(args, pot, grid, xi, rho) -> int:
+    result = solver.solve_entropy(pot, xi, rho, m=grid)
     out = _out_dir(args)
     (out / "solve_result.json").write_text(_json_record(result))
     (out / "profile.csv").write_text(functional.profile_to_csv(result.profile))
@@ -173,19 +191,15 @@ def cmd_solve(args, sections, pot) -> int:
     return EXIT_OK if result.converged else EXIT_INFEASIBLE
 
 
-def cmd_scan(args, sections, pot) -> int:
-    m = _get(sections, "solver", "grid", int, default=solver.DEFAULT_GRID, flag=args.grid)
-    rho = _get(sections, "window", "rho", float, flag=args.rho)
-    raw = args.deltas or sections.get("window", {}).get("deltas", "")
-    deltas = [float(tok) for tok in str(raw).split(",") if tok.strip()]
+def cmd_scan(args, pot, grid, rho, deltas) -> int:
+    deltas = [float(tok) for tok in deltas.split(",") if tok.strip()]
     if not deltas:
         raise ConfigError("scan needs a nonempty comma-separated delta list")
-    try:
-        scan = transition.scan_transition(pot, rho, deltas, m=m)
-    except transition.UnscannableCurve as exc:
-        raise InfeasibleError(str(exc)) from exc
+    scan = transition.scan_transition(pot, rho, deltas, m=grid)
     out = _out_dir(args)
-    (out / "scan.csv").write_text(transition.scan_to_csv(scan))
+    (out / "scan.csv").write_text(functional.csv_text(
+        "xi,S,branch,beta,mu,converged",
+        [(p.xi_target, p.S, p.branch, p.beta, p.mu, p.converged) for p in scan.points]))
     (out / "scan_summary.json").write_text(_json_record(scan))
     print(f"kink_ok={'true' if scan.kink_ok else 'false'} "
           f"left_slope={fmt(scan.left_slope)} right_slope={fmt(scan.right_slope)} "
@@ -193,19 +207,8 @@ def cmd_scan(args, sections, pot) -> int:
     return EXIT_OK if scan.kink_ok else EXIT_INFEASIBLE
 
 
-def _window_from(sections, args) -> ensemble.EnsembleWindow:
-    xi_t = _get(sections, "window", "xi", float, flag=args.xi)
-    rho = _get(sections, "window", "rho", float, flag=args.rho)
-    delta = _get(sections, "window", "delta", float, default=0.01, flag=args.delta)
-    return ensemble.EnsembleWindow(xi=xi_t, rho=rho, delta=delta)
-
-
-def cmd_sample(args, sections, pot) -> int:
-    window = _window_from(sections, args)
-    n = _get(sections, "run", "n", int, flag=args.n)
-    steps = _get(sections, "run", "steps", int, default=20000, flag=args.steps)
-    chains = _get(sections, "run", "chains", int, default=4, flag=args.chains)
-    seed = _get(sections, "run", "seed", int, default=1, flag=args.seed)
+def cmd_sample(args, pot, xi, rho, delta, n, steps, chains, seed) -> int:
+    window = ensemble.EnsembleWindow(xi=xi, rho=rho, delta=delta)
     init = _read_profile(args.init_profile) if args.init_profile else None
     try:
         stats = ensemble.mcmc_sample(n, pot, window, steps, chains, seed, init=init)
@@ -219,30 +222,25 @@ def cmd_sample(args, sections, pot) -> int:
     return EXIT_OK
 
 
-def cmd_enumerate(args, sections, pot) -> int:
-    window = _window_from(sections, args)
-    n = _get(sections, "run", "n", int, flag=args.n)
+def cmd_enumerate(args, pot, xi, rho, delta, n) -> int:
+    window = ensemble.EnsembleWindow(xi=xi, rho=rho, delta=delta)
     count, emp_S = ensemble.enumerate_entropy(n, pot, window)
-    record = ensemble.enumeration_record(n, count, emp_S)
-    print(record)
-    (_out_dir(args) / "enumeration.csv").write_text(
-        "n,count,total,empirical_S\n" + record + "\n")
+    text = functional.csv_text("n,count,total,empirical_S", [(n, count, 1 << n, emp_S)])
+    print(text.partition("\n")[2], end="")
+    (_out_dir(args) / "enumeration.csv").write_text(text)
     return EXIT_OK
 
 
-def cmd_feasibility(args, sections, pot) -> int:
-    rho = _get(sections, "window", "rho", float, flag=args.rho)
+def cmd_feasibility(args, pot, rho) -> int:
     probe = transition.feasibility_probe(pot, rho)
     verdict = "interior" if probe.interior else "not-certified"
     print(f"xi1={fmt(probe.xi1)} xi2={fmt(probe.xi2)} xi3={fmt(probe.xi3)} {verdict}")
-    (_out_dir(args) / "feasibility.csv").write_text(
-        "xi1,xi2,xi3,interior\n"
-        f"{fmt(probe.xi1)},{fmt(probe.xi2)},{fmt(probe.xi3)},"
-        f"{'true' if probe.interior else 'false'}\n")
+    (_out_dir(args) / "feasibility.csv").write_text(functional.csv_text(
+        "xi1,xi2,xi3,interior", [(*probe.as_tuple(), probe.interior)]))
     return EXIT_OK if probe.interior else EXIT_INFEASIBLE
 
 
-def cmd_eval(args, sections, pot) -> int:
+def cmd_eval(args, pot) -> int:
     if not args.profile:
         raise ConfigError("eval needs --profile pointing at a cell_center,value CSV")
     prof = _read_profile(args.profile)
@@ -251,8 +249,7 @@ def cmd_eval(args, sections, pot) -> int:
     x = functional.xi(prof, K)
     dens = functional.density_N(prof)
     print(f"H={fmt(h)} xi={fmt(x)} N={fmt(dens)}")
-    (_out_dir(args) / "eval.csv").write_text(
-        "H,xi,N\n" + ",".join((fmt(h), fmt(x), fmt(dens))) + "\n")
+    (_out_dir(args) / "eval.csv").write_text(functional.csv_text("H,xi,N", [(h, x, dens)]))
     return EXIT_OK
 
 
@@ -263,59 +260,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="latgas",
         description="long-range lattice gas entropy and transition numerics")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    commands = (
+        ("lambda", cmd_lambda, "print the integrated interaction"),
+        ("solve", cmd_solve, "entropy-maximizing profile at (xi, rho)"),
+        ("scan", cmd_scan, "entropy scan across the transition curve"),
+        ("sample", cmd_sample, "window-constrained Monte Carlo sampling"),
+        ("enumerate", cmd_enumerate, "exact window enumeration on a small lattice"),
+        ("feasibility", cmd_feasibility, "closed-form feasibility window at rho"),
+        ("eval", cmd_eval, "evaluate H, xi, N on a profile CSV"),
+    )
+    for name, fn, summary in commands:
+        # the settings a command reads are its parameters after (args, pot), in order
+        settings = tuple(inspect.signature(fn).parameters)[2:]
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="key=value config file with [section] headers")
         p.add_argument("--out", help="output directory (default: current)")
-
-    p = sub.add_parser("lambda", help="print the integrated interaction")
-    common(p)
-    p.set_defaults(fn=cmd_lambda)
-
-    p = sub.add_parser("solve", help="entropy-maximizing profile at (xi, rho)")
-    common(p)
-    p.add_argument("--grid", type=int, help="profile grid size m")
-    p.add_argument("--xi", type=float)
-    p.add_argument("--rho", type=float)
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("scan", help="entropy scan across the transition curve")
-    common(p)
-    p.add_argument("--grid", type=int, help="profile grid size m")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--deltas", help="comma-separated offsets from the curve")
-    p.set_defaults(fn=cmd_scan)
-
-    p = sub.add_parser("sample", help="window-constrained Monte Carlo sampling")
-    common(p)
-    p.add_argument("--xi", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--chains", type=int)
-    p.add_argument("--init-profile", help="CSV profile used to seed the chains")
-    p.add_argument("--seed", type=int, help="64-bit RNG seed")
-    p.set_defaults(fn=cmd_sample)
-
-    p = sub.add_parser("enumerate", help="exact window enumeration on a small lattice")
-    common(p)
-    p.add_argument("--xi", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n", type=int)
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser("feasibility", help="closed-form feasibility window at rho")
-    common(p)
-    p.add_argument("--rho", type=float)
-    p.set_defaults(fn=cmd_feasibility)
-
-    p = sub.add_parser("eval", help="evaluate H, xi, N on a profile CSV")
-    common(p)
-    p.add_argument("--profile", help="path to a cell_center,value CSV")
-    p.set_defaults(fn=cmd_eval)
-
+        for key in settings:
+            section, cast, _, flag_help = SETTINGS[key]
+            p.add_argument(f"--{key}", type=cast, help=f"{flag_help} (or [{section}] {key})")
+        p.set_defaults(fn=fn, settings=settings)
+    sub.choices["sample"].add_argument("--init-profile",
+                                       help="CSV profile used to seed the chains")
+    sub.choices["eval"].add_argument("--profile", help="path to a cell_center,value CSV")
     return parser
 
 
@@ -324,13 +290,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         sections = load_config(args.config)
-        return args.fn(args, sections, _potential_from(sections))
+        pot = _potential_from(sections)
+        return args.fn(args, pot, **_settings(args, sections))
+    except (InfeasibleError, transition.UnscannableCurve) as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except ValueError as exc:  # ConfigError and the library's input checks
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

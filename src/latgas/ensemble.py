@@ -111,11 +111,6 @@ def enumerate_entropy(n: int, pot: Potential, window: EnsembleWindow) -> tuple[i
     return count, math.log(count / (1 << n)) / n
 
 
-def enumeration_record(n: int, count: int, empirical_S: float) -> str:
-    """Single-line record n,count,total,empirical_S."""
-    return f"{n},{count},{1 << n},{empirical_S:.12g}"
-
-
 def _smooth_cyclic(values: np.ndarray, width: int) -> np.ndarray:
     padded = np.concatenate([values, values[:width]])
     cs = np.concatenate([[0.0], np.cumsum(padded)])

@@ -148,20 +148,40 @@ def _check_sizes(f: OccupancyProfile, K: KernelMatrix):
         raise ValueError(f"profile grid {f.m} does not match kernel grid {K.m}")
 
 
-# --- CSV round trip -------------------------------------------------------
+# --- CSV records ------------------------------------------------------------
 
-def profile_to_csv(f: OccupancyProfile) -> str:
-    """CSV text with columns cell_center,value (12 significant digits)."""
-    lines = ["cell_center,value"]
-    centers = (np.arange(f.m) + 0.5) / f.m
-    for c, v in zip(centers, f.values):
-        lines.append(f"{c:.12g},{v:.12g}")
+FLOAT_FORMAT = ".12g"  # every float a record or a CLI line shows
+
+
+def csv_text(header: str, rows) -> str:
+    """The header line, then one line per row: floats at 12 significant
+    digits, booleans as true/false, ints and strings unchanged."""
+    lines = [header] + [",".join(map(_csv_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
+def _csv_cell(v) -> str:
+    if isinstance(v, float):  # numpy's float64 too
+        return format(v, FLOAT_FORMAT)
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    return str(v)
+
+
+def profile_to_csv(f: OccupancyProfile) -> str:
+    """CSV text with columns cell_center,value."""
+    centers = (np.arange(f.m) + 0.5) / f.m
+    return csv_text("cell_center,value", zip(centers.tolist(), f.values.tolist()))
+
+
 def profile_from_csv(text: str) -> OccupancyProfile:
+    """Read profile_to_csv's text back; row i must be centred on cell i of m."""
     rows = [ln for ln in text.splitlines() if ln.strip()]
     if not rows or rows[0].strip() != "cell_center,value":
         raise ValueError("profile CSV must start with a cell_center,value header")
-    vals = [float(ln.partition(",")[2]) for ln in rows[1:]]
-    return make_profile(vals)
+    cells = [ln.partition(",") for ln in rows[1:]]
+    m = len(cells)
+    for i, (center, _, _) in enumerate(cells):
+        if not abs(float(center) - (i + 0.5) / m) <= 0.25 / m:  # NaN fails too
+            raise ValueError(f"row {i + 1}: cell_center {center} is off cell {i + 1} of {m}")
+    return make_profile([float(value) for _, _, value in cells])

@@ -163,19 +163,19 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> Transit
     deltas = sorted(float(d) for d in deltas)
     if not deltas or not all(0.0 < d < math.inf for d in deltas):
         raise ValueError("deltas must be a nonempty list of positive finite reals")
-    if len(set(deltas)) < len(deltas):
-        raise ValueError("deltas must be distinct: a repeated delta leaves no secant gap")
+    lam = integrated_interaction(pot)
+    xi0 = lam * rho * rho
+    targets = [xi0 - d for d in reversed(deltas)] + [xi0] + [xi0 + d for d in deltas]
+    if len(set(targets)) < len(targets):
+        raise ValueError("deltas must be distinct and must move xi0 = lambda rho^2: a "
+                         "repeated or vanishing offset leaves no secant gap")
     probe = feasibility_probe(pot, rho)
     if not probe.interior:
         raise UnscannableCurve("curve point not certified interior (plateau height too small)")
-    lam = integrated_interaction(pot)
-    xi0 = lam * rho * rho
     K = cell_kernel(pot, m)
     c = convexity_gap_constant(rho)
     sigma = spectral_radius(K)
     bound = c / sigma
-
-    targets = [xi0 - d for d in reversed(deltas)] + [xi0] + [xi0 + d for d in deltas]
 
     def run(t):
         res = solve_entropy(pot, t, rho, m=m, kernel=K)
@@ -219,13 +219,3 @@ def _one_sided_slope(S_curve: float, xi0: float, pts) -> float:
         return secants[0][0]
     (s1, d1), (s2, d2) = secants[0], secants[1]
     return (d2 * s1 - d1 * s2) / (d2 - d1)
-
-
-def scan_to_csv(scan: TransitionScan) -> str:
-    """CSV rows xi,S,branch,beta,mu,converged for every scan point."""
-    lines = ["xi,S,branch,beta,mu,converged"]
-    for p in scan.points:
-        lines.append(
-            f"{p.xi_target:.12g},{p.S:.12g},{p.branch},{p.beta:.12g},{p.mu:.12g},"
-            f"{'true' if p.converged else 'false'}")
-    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: configs in, records out, exit codes as documented."""
 
+import argparse
 import json
 from dataclasses import fields
 
@@ -119,10 +120,10 @@ class TestSampleAndEnumerate:
                   "--rho", "0.25", "--delta", "0.05", "--out", str(out)])
         assert rc == 0
         printed = capsys.readouterr().out.strip()
-        assert printed.startswith("12,40,4096,")
-        body = (out / "enumeration.csv").read_text().strip().splitlines()
-        assert body[0] == "n,count,total,empirical_S"
-        assert body[1] == printed
+        assert (out / "enumeration.csv").read_text() == \
+            "n,count,total,empirical_S\n" + printed + "\n"
+        # criterion 9's window: the exact record
+        assert printed == "12,40,4096,-0.385740559384"
 
 
 class TestFeasibilityAndEval:
@@ -133,8 +134,15 @@ class TestFeasibilityAndEval:
         text = capsys.readouterr().out
         assert "xi1=0.333333333333" in text
         assert "interior" in text
-        assert (out / "feasibility.csv").read_text().splitlines()[0] == \
-            "xi1,xi2,xi3,interior"
+        assert (out / "feasibility.csv").read_text() == \
+            "xi1,xi2,xi3,interior\n0.333333333333,0.4375,0.548202260396,true\n"
+
+    def test_eval_record(self, cfg, tmp_path):
+        profile = tmp_path / "four.csv"
+        profile.write_text("cell_center,value\n0.125,0.1\n0.375,0.9\n0.625,0.5\n0.875,0.25\n")
+        out = tmp_path / "o"
+        assert run(["eval", "--config", cfg, "--profile", str(profile), "--out", str(out)]) == 0
+        assert (out / "eval.csv").read_text() == "H,xi,N\n0.21673511257,1.2675,0.4375\n"
 
     def test_eval_roundtrip(self, cfg, tmp_path, capsys):
         out = tmp_path / "o"
@@ -201,6 +209,18 @@ class TestConfigErrors:
         assert run(["lambda", "--config", str(path)]) == 3
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("M = 10", "M = 10\nM = 0.1", 5),
+        ("delta = 0.01", "delta = 0.01\n\n[potential]\nM = 0.1", 17),
+    ], ids=["same-section", "repeated-header"])
+    def test_repeated_key_refused(self, tmp_path, capsys, old, new, line):
+        # the last M would silently win: lambda 2.05 instead of 7
+        path = tmp_path / "repeated.cfg"
+        path.write_text(CONFIG.replace(old, new))
+        assert run(["lambda", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "config error" in err and f"line {line}" in err and "[potential] M" in err
+
     @pytest.mark.parametrize("block", [
         "kind = power_plateau\nr = 0.5\nM = inf\n",
         "kind = tabulated\nsamples = 0:nan;1:1\n",
@@ -220,7 +240,10 @@ class TestConfigErrors:
         row.write_text("cell_center,value\n0.25\n0.75,0.5\n")
         nan = tmp_path / "nan.csv"
         nan.write_text("cell_center,value\n0.25,nan\n0.75,0.5\n")
-        for path in (missing, header, row, nan):
+        # the cells of a 3-cell grid are centred at 1/6, 1/2 and 5/6
+        centres = tmp_path / "centres.csv"
+        centres.write_text("cell_center,value\n0.9,0.1\n0.2,0.5\n0.2,0.3\n")
+        for path in (missing, header, row, nan, centres):
             for args in (["eval", "--profile", str(path)],
                          ["sample", "--n", "32", "--init-profile", str(path)]):
                 assert run(args + ["--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -248,6 +271,8 @@ class TestInputErrors:
         ["enumerate", "--n", "12", "--xi", "nan"],
         ["sample", "--n", "32", "--steps", "10", "--xi", "nan"],
         ["scan", "--rho", "0.23", "--deltas", "0.01,0.01", "--grid", "64"],
+        # xi0 -/+ 1e-300 rounds to xi0: no secant gap
+        ["scan", "--rho", "0.23", "--deltas", "1e-300", "--grid", "64"],
     ])
     def test_rejected_input_is_config_error(self, cfg, tmp_path, capsys, args):
         assert run(args + ["--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -263,6 +288,35 @@ class TestInputErrors:
     def test_unused_flags_refused(self, cfg, args):
         with pytest.raises(SystemExit):
             run(args + ["--config", cfg])
+
+
+class TestParser:
+    def test_option_strings(self):
+        common = {"--config", "--out"}
+        expected = {
+            "lambda": common,
+            "solve": common | {"--grid", "--xi", "--rho"},
+            "scan": common | {"--grid", "--rho", "--deltas"},
+            "sample": common | {"--xi", "--rho", "--delta", "--n", "--steps", "--chains",
+                                "--init-profile", "--seed"},
+            "enumerate": common | {"--xi", "--rho", "--delta", "--n"},
+            "feasibility": common | {"--rho"},
+            "eval": common | {"--profile"},
+        }
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                   for name, p in sub.choices.items()}
+        assert options == expected
+
+    @pytest.mark.parametrize("argv, values", [
+        (["sample", "--xi", "0.3", "--rho", "0.2", "--n", "8"],
+         {"xi": 0.3, "rho": 0.2, "delta": 0.01, "n": 8, "steps": 20000, "chains": 4, "seed": 1}),
+        (["solve", "--xi", "0.3", "--rho", "0.2"], {"grid": 256, "xi": 0.3, "rho": 0.2}),
+        (["scan", "--rho", "0.2"], {"grid": 256, "rho": 0.2, "deltas": ""}),
+    ], ids=["sample", "solve", "scan"])
+    def test_defaults(self, argv, values):
+        assert cli._settings(cli.build_parser().parse_args(argv), {}) == values
 
 
 class TestJsonRecords:
@@ -295,6 +349,11 @@ class TestJsonRecords:
         assert scan["lam"] == 7.0 and scan["kink_ok"] is True
         assert [p["S"] == "nan" for p in scan["points"]] == [True, False, False, False, True]
         assert [p["converged"] for p in scan["points"]] == [False, True, True, True, False]
+        # scan.csv writes the same points: nan S cells and false flags
+        rows = [ln.split(",") for ln in
+                (tmp_path / "scan_summary.json" / "scan.csv").read_text().splitlines()[1:]]
+        assert [row[1] == "nan" for row in rows] == [True, False, False, False, True]
+        assert [row[5] for row in rows] == ["false", "true", "true", "true", "false"]
 
 
 class TestDeterminism:

@@ -181,9 +181,16 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="2\\^25"):
             lg.enumerate_entropy(25, pot_a2, lg.EnsembleWindow(0.0, 0.5, 1.0))
 
-    def test_record_format(self):
-        rec = lg.enumeration_record(12, 40, -0.385740559384)
-        assert rec == "12,40,4096,-0.385740559384"
+    def test_record_format(self, tmp_path, monkeypatch, capsys):
+        # the CLI's enumeration.csv record, and its stdout line, for given counts
+        monkeypatch.setattr(ensemble, "enumerate_entropy", lambda *args: (40, -0.385740559384))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[potential]\nkind = power_plateau\nr = 0.5\nM = 10\n")
+        assert cli.main(["enumerate", "--config", str(cfg), "--n", "12", "--xi", "0.4375",
+                         "--rho", "0.25", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "12,40,4096,-0.385740559384\n"
+        assert (tmp_path / "enumeration.csv").read_text() == \
+            "n,count,total,empirical_S\n12,40,4096,-0.385740559384\n"
 
     def test_window_validation(self):
         with pytest.raises(ValueError):

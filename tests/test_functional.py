@@ -209,6 +209,13 @@ class TestProfilePlumbing:
         assert back.m == f.m
         np.testing.assert_allclose(back.values, f.values, rtol=1e-11)
 
+    @pytest.mark.parametrize("rows", [lambda r: r[::-1], lambda r: r[:-1]],
+                             ids=["reversed", "truncated"])
+    def test_csv_rows_off_their_cells_refused(self, rows):
+        header, *body = lg.profile_to_csv(lg.make_profile([0.1, 0.2, 0.3, 0.4])).splitlines()
+        with pytest.raises(ValueError, match="cell_center"):
+            lg.profile_from_csv("\n".join([header, *rows(body)]))
+
     def test_block_average(self):
         v = np.array([1.0, 0.0, 1.0, 0.0])
         np.testing.assert_allclose(lg.block_average(v, 2), [0.5, 0.5])

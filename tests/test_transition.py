@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 import latgas as lg
+from latgas import cli, transition
 from latgas.potential import KernelMatrix
 
 RHO = 0.23
@@ -163,9 +164,11 @@ class TestScanTransition:
         with pytest.raises(ValueError, match="deltas"):
             lg.scan_transition(pot_a2, RHO, deltas, m=64)
 
-    @pytest.mark.parametrize("deltas", [[0.01, 0.01], [0.02, 0.005, 0.02]])
+    @pytest.mark.parametrize("deltas", [[0.01, 0.01], [0.02, 0.005, 0.02],
+                                        [1e-300], [1e-17, 2e-17]])
     def test_repeated_deltas_refused(self, pot_a2, deltas):
-        # the slope extrapolation divides by the gap between the two nearest deltas
+        # the slope extrapolation divides by the gap between the two nearest
+        # targets; the last two cases round away against xi0 = 0.3703
         with pytest.raises(ValueError, match="distinct"):
             lg.scan_transition(pot_a2, RHO, deltas, m=64)
 
@@ -181,11 +184,19 @@ class TestScanTransition:
         scan = lg.scan_transition(pot, RHO, [0.01], m=64)
         assert scan.within_hypotheses
 
-    def test_csv_and_summary(self, scan_023):
-        csv = lg.scan_to_csv(scan_023)
-        lines = csv.strip().splitlines()
+    def test_csv_and_summary(self, scan_023, tmp_path, monkeypatch):
+        # the CLI's scan.csv holds one row per point of the scan it ran
+        monkeypatch.setattr(transition, "scan_transition", lambda *args, **kw: scan_023)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[potential]\nkind = power_plateau\nr = 0.5\nM = 10\n")
+        assert cli.main(["scan", "--config", str(cfg), "--rho", str(RHO), "--deltas",
+                         "0.005,0.01,0.02", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "scan.csv").read_text().splitlines()
         assert lines[0] == "xi,S,branch,beta,mu,converged"
         assert len(lines) == 1 + len(scan_023.points)
+        for line, p in zip(lines[1:], scan_023.points):
+            assert line.split(",") == [f"{p.xi_target:.12g}", f"{p.S:.12g}", p.branch,
+                                       f"{p.beta:.12g}", f"{p.mu:.12g}", "true"]
         assert scan_023.kink_ok is True
         assert scan_023.c == pytest.approx(2.2376133443, abs=1e-6)
         assert scan_023.sigma == pytest.approx(7.0, abs=1e-6)
