@@ -9,7 +9,8 @@ only place a timestamp appears.
 
 Exit codes: 0 success, 1 internal error, 2 infeasible/unconverged, 3 config
 error (a bad config file, an unknown section or key, an unreadable profile
-CSV, or input the library rejects with ValueError).
+CSV, an --out that cannot be made a directory, or input the library rejects
+with ValueError).  main makes the --out directory before the command runs.
 """
 
 from __future__ import annotations
@@ -133,12 +134,6 @@ def _settings(args, sections) -> dict:
     return values
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _read_profile(path: str) -> functional.OccupancyProfile:
     """Read a cell_center,value CSV; a missing or unparseable one is a config error."""
     try:
@@ -176,15 +171,14 @@ def _plain(obj):
 def cmd_lambda(args, pot) -> int:
     lam = potential.integrated_interaction(pot)
     print(fmt(lam))
-    (_out_dir(args) / "lambda.csv").write_text(functional.csv_text("lambda", [(lam,)]))
+    (args.out / "lambda.csv").write_text(functional.csv_text("lambda", [(lam,)]))
     return EXIT_OK
 
 
 def cmd_solve(args, pot, grid, xi, rho) -> int:
     result = solver.solve_entropy(pot, xi, rho, m=grid)
-    out = _out_dir(args)
-    (out / "solve_result.json").write_text(_json_record(result))
-    (out / "profile.csv").write_text(functional.profile_to_csv(result.profile))
+    (args.out / "solve_result.json").write_text(_json_record(result))
+    (args.out / "profile.csv").write_text(functional.profile_to_csv(result.profile))
     print(f"converged={'true' if result.converged else 'false'} "
           f"branch={result.branch} S={fmt(result.entropy_S)} "
           f"beta={fmt(result.multipliers.beta)} mu={fmt(result.multipliers.mu)}")
@@ -196,11 +190,10 @@ def cmd_scan(args, pot, grid, rho, deltas) -> int:
     if not deltas:
         raise ConfigError("scan needs a nonempty comma-separated delta list")
     scan = transition.scan_transition(pot, rho, deltas, m=grid)
-    out = _out_dir(args)
-    (out / "scan.csv").write_text(functional.csv_text(
+    (args.out / "scan.csv").write_text(functional.csv_text(
         "xi,S,branch,beta,mu,converged",
         [(p.xi_target, p.S, p.branch, p.beta, p.mu, p.converged) for p in scan.points]))
-    (out / "scan_summary.json").write_text(_json_record(scan))
+    (args.out / "scan_summary.json").write_text(_json_record(scan))
     print(f"kink_ok={'true' if scan.kink_ok else 'false'} "
           f"left_slope={fmt(scan.left_slope)} right_slope={fmt(scan.right_slope)} "
           f"bound={fmt(scan.kink_lower_bound)}")
@@ -214,9 +207,8 @@ def cmd_sample(args, pot, xi, rho, delta, n, steps, chains, seed) -> int:
         stats = ensemble.mcmc_sample(n, pot, window, steps, chains, seed, init=init)
     except RuntimeError as exc:  # the anneal found no state in the energy window
         raise InfeasibleError(str(exc)) from exc
-    out = _out_dir(args)
-    (out / "mcmc_stats.json").write_text(_json_record(stats))
-    (out / "mean_profile.csv").write_text(functional.profile_to_csv(stats.mean_profile))
+    (args.out / "mcmc_stats.json").write_text(_json_record(stats))
+    (args.out / "mean_profile.csv").write_text(functional.profile_to_csv(stats.mean_profile))
     print(f"acceptance_rate={fmt(stats.acceptance_rate)} "
           f"stuck={'true' if stats.stuck_warning else 'false'}")
     return EXIT_OK
@@ -227,7 +219,7 @@ def cmd_enumerate(args, pot, xi, rho, delta, n) -> int:
     count, emp_S = ensemble.enumerate_entropy(n, pot, window)
     text = functional.csv_text("n,count,total,empirical_S", [(n, count, 1 << n, emp_S)])
     print(text.partition("\n")[2], end="")
-    (_out_dir(args) / "enumeration.csv").write_text(text)
+    (args.out / "enumeration.csv").write_text(text)
     return EXIT_OK
 
 
@@ -235,7 +227,7 @@ def cmd_feasibility(args, pot, rho) -> int:
     probe = transition.feasibility_probe(pot, rho)
     verdict = "interior" if probe.interior else "not-certified"
     print(f"xi1={fmt(probe.xi1)} xi2={fmt(probe.xi2)} xi3={fmt(probe.xi3)} {verdict}")
-    (_out_dir(args) / "feasibility.csv").write_text(functional.csv_text(
+    (args.out / "feasibility.csv").write_text(functional.csv_text(
         "xi1,xi2,xi3,interior", [(*probe.as_tuple(), probe.interior)]))
     return EXIT_OK if probe.interior else EXIT_INFEASIBLE
 
@@ -249,7 +241,7 @@ def cmd_eval(args, pot) -> int:
     x = functional.xi(prof, K)
     dens = functional.density_N(prof)
     print(f"H={fmt(h)} xi={fmt(x)} N={fmt(dens)}")
-    (_out_dir(args) / "eval.csv").write_text(functional.csv_text("H,xi,N", [(h, x, dens)]))
+    (args.out / "eval.csv").write_text(functional.csv_text("H,xi,N", [(h, x, dens)]))
     return EXIT_OK
 
 
@@ -274,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         settings = tuple(inspect.signature(fn).parameters)[2:]
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="key=value config file with [section] headers")
-        p.add_argument("--out", help="output directory (default: current)")
+        p.add_argument("--out", type=Path, default=Path("."), help="output directory (default: .)")
         for key in settings:
             section, cast, _, flag_help = SETTINGS[key]
             p.add_argument(f"--{key}", type=cast, help=f"{flag_help} (or [{section}] {key})")
@@ -291,7 +283,12 @@ def main(argv=None) -> int:
     try:
         sections = load_config(args.config)
         pot = _potential_from(sections)
-        return args.fn(args, pot, **_settings(args, sections))
+        settings = _settings(args, sections)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the output directory {args.out}: {exc}") from exc
+        return args.fn(args, pot, **settings)
     except (InfeasibleError, transition.UnscannableCurve) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

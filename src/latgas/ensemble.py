@@ -2,14 +2,15 @@
 Monte Carlo sampling.
 
 The microcanonical window keeps the energy density in (xi - delta, xi + delta)
-and the particle density in (rho - delta, rho + delta).  Enumeration counts
-every configuration inside the window exactly (meet-in-the-middle over two
-half-lattices, paired only in the popcount blocks of admissible particle
-numbers).  The sampler fixes the particle number at round(rho n), proposes
-occupied <-> empty swaps and accepts exactly when the energy stays in its
-window; symmetric proposals with indicator acceptance make the stationary
-law uniform on the constrained slice.  Each visited state is aligned once,
-by a correlation that each accepted swap updates in O(n) without an FFT.
+and the particle density in (rho - delta, rho + delta); `EnsembleWindow.bounds`
+decides its n-site slice once for both readers.  Enumeration counts the slice
+exactly (meet-in-the-middle over two half-lattices, paired only in the popcount
+blocks of its particle numbers).  The sampler fixes the particle number at
+round(rho n), which must be one of them, proposes occupied <-> empty swaps and
+accepts exactly when the energy stays in its window; symmetric proposals with
+indicator acceptance make the stationary law uniform on the constrained slice.
+Each visited state is aligned once, by a correlation that each accepted swap
+updates in O(n) without an FFT.
 """
 
 from __future__ import annotations
@@ -43,6 +44,15 @@ class EnsembleWindow:
             raise ValueError("window half-width delta must be positive")
         if not (math.isfinite(self.xi) and math.isfinite(self.rho)):
             raise ValueError("window center xi and rho must be finite")
+
+    def bounds(self, n: int) -> tuple[list[int], float, float]:
+        """The n-site slice: the particle numbers p in ((rho - delta) n, (rho + delta) n)
+        and the pair-energy interval ((xi - delta) n^2, (xi + delta) n^2)."""
+        if n < 2:
+            raise ValueError("n must be at least 2")
+        lo, hi = (self.rho - self.delta) * n, (self.rho + self.delta) * n
+        particles = [p for p in range(n + 1) if lo < p < hi]
+        return particles, (self.xi - self.delta) * n * n, (self.xi + self.delta) * n * n
 
 
 @dataclass
@@ -81,8 +91,7 @@ def enumerate_entropy(n: int, pot: Potential, window: EnsembleWindow) -> tuple[i
         raise ValueError(
             f"n={n} would enumerate 2^{n} ~ {2.0 ** n:.3g} configurations; "
             f"the cap is {ENUM_CAP}")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    particles, lo_e, hi_e = window.bounds(n)
     psi = toeplitz(pair_row(pot, n))
     n1 = n // 2
     n2 = n - n1
@@ -93,14 +102,8 @@ def enumerate_entropy(n: int, pot: Potential, window: EnsembleWindow) -> tuple[i
     cross = XA @ psi[:n1, n1:]
     popA = XA.sum(axis=1)
     popB = XB.sum(axis=1)
-    lo_e = (window.xi - window.delta) * n * n
-    hi_e = (window.xi + window.delta) * n * n
-    lo_p = (window.rho - window.delta) * n
-    hi_p = (window.rho + window.delta) * n
     count = 0
-    for p in range(n + 1):
-        if not lo_p < p < hi_p:
-            continue
+    for p in particles:
         for pA in range(max(0, p - n2), min(n1, p) + 1):
             a = popA == pA
             b = popB == p - pA
@@ -143,9 +146,10 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
                 track_states: bool = False, track_every: int = 1) -> McmcStats:
     """Window-constrained swap sampler with exact particle number.
 
-    Chains start from the rounded init profile when one is given (top cells
-    by occupancy), otherwise from a seeded random configuration; either way a
-    bounded greedy anneal walks the energy into its window first.  Samples
+    Chains hold k = round(rho n) particles, a particle number of the window's
+    slice (`EnsembleWindow.bounds`) strictly between 0 and n, and start from
+    the rounded init profile if given (top cells by occupancy), else from a
+    seeded random configuration, annealed into the energy window.  Samples
     after the burn-in fraction BURN_IN are circularly aligned before averaging
     when an init profile pins the frame, by the shift that best correlates the
     sample, smoothed over max(3, n // 16) cells, with the smoothed template.
@@ -163,16 +167,11 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     """
     if steps < 1 or chains < 1:
         raise ValueError("steps and chains must be at least 1")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    particles, lo, hi = window.bounds(n)
     k = int(round(window.rho * n))
-    if not window.rho - window.delta < k / n < window.rho + window.delta:
-        raise ValueError("round(rho n)/n leaves the density window; enlarge delta or n")
-    if k <= 0 or k >= n:
-        raise ValueError("particle count must be strictly between 0 and n")
+    if k not in particles or not 0 < k < n:
+        raise ValueError(f"round(rho n) = {k} is not a particle number of the window in (0, n)")
     psi = toeplitz(pair_row(pot, n))
-    lo = (window.xi - window.delta) * n * n
-    hi = (window.xi + window.delta) * n * n
     width = max(3, n // 16)
     burn = int(steps * BURN_IN)
     children = np.random.SeedSequence(rng_seed).spawn(chains)
@@ -202,8 +201,7 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     for chain_idx in range(chains):
         accepted = 0
         rng = np.random.Generator(np.random.Philox(children[chain_idx]))
-        occ = _initial_config(n, k, init_values, rng)
-        occ, s, E = _anneal_into_window(psi, occ, lo, hi, rng)
+        occ, s, E = _anneal_into_window(psi, k, lo, hi, init_values, rng)
         occ_idx = np.flatnonzero(occ)
         emp_idx = np.flatnonzero(~occ)
         corr = G2[occ_idx[:, None] + np.arange(n)].sum(axis=0) if G2 is not None else None
@@ -285,23 +283,21 @@ def _initial_config(n: int, k: int, init_values: np.ndarray | None,
     return occ
 
 
-def _anneal_into_window(psi: np.ndarray, occ: np.ndarray, lo: float, hi: float,
-                        rng: np.random.Generator):
-    """Swaps toward the energy window: a greedy walk, then restarts where it stalls.
+def _anneal_into_window(psi: np.ndarray, k: int, lo: float, hi: float,
+                        init_values: np.ndarray | None, rng: np.random.Generator):
+    """A chain's start: k particles walked by swaps into the energy window.
 
-    The walk takes the best of a batch of 32 random swaps when it brings the
-    energy closer to the window centre.  After ANNEAL_TRIES_PER_SITE * n
-    proposals outside the window it starts again, up to ANNEAL_RESTARTS times,
-    from a random configuration, now also taking a sideways move (the batch's
-    last swap) when no swap of the batch is closer; then it raises.  A walk
-    that reaches the window greedily draws exactly what it always drew.
+    Every walk starts from `_initial_config`: the first from the init profile,
+    a restart from a random configuration.  The first walk takes the best of a
+    batch of 32 random swaps when it brings the energy closer to the window
+    centre.  After ANNEAL_TRIES_PER_SITE * n proposals outside the window it
+    starts again, up to ANNEAL_RESTARTS times, now also taking a sideways move
+    (the batch's last swap) when no swap of the batch is closer; then it raises.
     """
-    n, k = occ.size, int(occ.sum())
+    n = psi.shape[0]
     center = 0.5 * (lo + hi)
     for restart in range(ANNEAL_RESTARTS + 1):
-        if restart:
-            occ = np.zeros(n, dtype=bool)
-            occ[rng.choice(n, size=k, replace=False)] = True
+        occ = _initial_config(n, k, None if restart else init_values, rng)
         s = psi @ occ.astype(float)
         E = float(occ.astype(float) @ s)
         tries = 0

@@ -272,8 +272,14 @@ def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT
     EL_TOL keeps far inside the 1e-9 tie window; and with 0 peaks the
     constant wins every tie.  candidates summarizes the seeds that ran (one
     on the curve with the default seeds), each with its stop and certificate.
+
+    A given kernel saves rebuilding the table across calls and must be
+    cell_kernel(pot, m): one on another grid raises ValueError; that it was
+    built from pot is not checked.
     """
     K = kernel if kernel is not None else cell_kernel(pot, m)
+    if K.m != m:
+        raise ValueError(f"kernel is on m = {K.m} cells, not m = {m}; pass cell_kernel(pot, m)")
     if seeds is None:
         seeds = default_seeds(K.m, rho)
     results = []

@@ -125,6 +125,16 @@ class TestSampleAndEnumerate:
         # criterion 9's window: the exact record
         assert printed == "12,40,4096,-0.385740559384"
 
+    def test_enumerate_and_sample_share_the_slice(self, cfg, tmp_path, capsys):
+        # (0.47 - 0.02) * 20 is 9.0 in floating point, so p = 9 is not in the
+        # slice: the count leaves it out and the sampler refuses k = round(0.47 * 20)
+        window = ["--config", cfg, "--n", "20", "--xi", "1.274", "--rho", "0.47",
+                  "--delta", "0.02"]
+        assert run(["enumerate", *window, "--out", str(tmp_path / "e")]) == 0
+        assert capsys.readouterr().out == "20,0,1048576,-inf\n"
+        assert run(["sample", *window, "--steps", "10", "--out", str(tmp_path / "s")]) == 3
+        assert "round(rho n) = 9" in capsys.readouterr().err
+
 
 class TestFeasibilityAndEval:
     def test_feasibility(self, cfg, tmp_path, capsys):
@@ -277,6 +287,15 @@ class TestInputErrors:
     def test_rejected_input_is_config_error(self, cfg, tmp_path, capsys, args):
         assert run(args + ["--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
+    def test_out_that_cannot_be_a_directory(self, cfg, tmp_path, capsys, sub):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / sub
+        assert run(["lambda", "--config", cfg, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: cannot create the output directory {out}" in captured.err
 
     @pytest.mark.parametrize("args", [
         pytest.param(["solve", "--seed", "1"], id="--seed"),

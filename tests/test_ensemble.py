@@ -16,6 +16,17 @@ from latgas import cli, ensemble
 RHO = 0.23
 XI_CURVE = 7.0 * RHO * RHO
 
+# (n, rho, delta) on the 0.01 grid, n <= 60, where the slice's rule
+# (rho - delta) n < k < (rho + delta) n and the density test
+# rho - delta < k / n < rho + delta judge k = round(rho n) differently
+DENSITY_EDGES = [
+    (10, 0.94, 0.04), (20, 0.47, 0.02), (20, 0.93, 0.02), (25, 0.21, 0.01),
+    (25, 0.27, 0.01), (25, 0.41, 0.01), (25, 0.42, 0.02), (25, 0.54, 0.02),
+    (25, 0.55, 0.01), (25, 0.69, 0.01), (25, 0.82, 0.02), (45, 0.21, 0.01),
+    (45, 0.41, 0.01), (50, 0.21, 0.01), (50, 0.27, 0.01), (50, 0.41, 0.01),
+    (50, 0.55, 0.01), (50, 0.69, 0.01),
+]
+
 
 def slice_configs(n, pot, window):
     """Direct scan oracle: all configurations inside the window."""
@@ -65,8 +76,7 @@ def reference_sample(n, pot, window, steps, chains, rng_seed, init=None,
     chain_means = []
     for child in np.random.SeedSequence(rng_seed).spawn(chains):
         rng = np.random.Generator(np.random.Philox(child))
-        occ = ensemble._initial_config(n, k, init_values, rng)
-        occ, s, E = ensemble._anneal_into_window(psi, occ, lo, hi, rng)
+        occ, s, E = ensemble._anneal_into_window(psi, k, lo, hi, init_values, rng)
         occ_idx = np.flatnonzero(occ)
         emp_idx = np.flatnonzero(~occ)
         profile = np.zeros(n)
@@ -296,6 +306,23 @@ class TestMcmc:
         with pytest.raises(ValueError):
             lg.mcmc_sample(16, pot_a2, lg.EnsembleWindow(0.4, 0.26, 0.001),
                            steps=10, chains=1, rng_seed=4)
+
+    @pytest.mark.parametrize("n,rho,delta", DENSITY_EDGES)
+    def test_particle_count_judged_by_the_slice_rule(self, pot_a2, monkeypatch, n, rho,
+                                                     delta):
+        class ChainStarted(Exception):
+            pass
+
+        def start(*args):
+            raise ChainStarted
+
+        monkeypatch.setattr(ensemble, "_anneal_into_window", start)
+        k = round(rho * n)
+        in_slice = (rho - delta) * n < k < (rho + delta) * n
+        assert in_slice != (rho - delta < k / n < rho + delta)
+        with pytest.raises(ChainStarted if in_slice else ValueError):
+            lg.mcmc_sample(n, pot_a2, lg.EnsembleWindow(xi=0.5, rho=rho, delta=delta),
+                           steps=10, chains=1, rng_seed=1)
 
     def test_determinism(self, pot_a2):
         window = lg.EnsembleWindow(xi=XI_CURVE, rho=RHO, delta=0.05)

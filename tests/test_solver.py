@@ -69,6 +69,11 @@ class TestSolveEntropy:
         np.testing.assert_allclose(res.profile.values, 0.5, atol=1e-9)
         assert res.entropy_S == pytest.approx(0.0, abs=1e-10)
 
+    def test_kernel_on_another_grid_refused(self, pot_a2, kernel256):
+        # the kernel must be cell_kernel(pot, m): one on another grid must not win over m
+        with pytest.raises(ValueError, match="m = 256 cells, not m = 512"):
+            lg.solve_entropy(pot_a2, XI_CURVE, RHO, m=512, kernel=kernel256)
+
     def test_infeasible_target(self, pot_a2):
         res = lg.solve_entropy(pot_a2, 3.0, RHO, m=64)
         assert not res.converged
