@@ -4,7 +4,7 @@
 Samples the microcanonical window just above the transition curve at
 n = 512, seeding the chains with the rounded continuum optimizer, and
 measures the shift-minimized L1 distance between the aligned mean profile
-and the optimizer.  Takes about 20 s: 18 and 20 s wall in two runs on a 2-core Xeon.
+and the optimizer.  Takes about 12 s: 11 and 12 s wall in two runs on a 2-core Xeon.
 """
 
 import latgas as lg

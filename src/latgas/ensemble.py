@@ -10,7 +10,8 @@ round(rho n), which must be one of them, proposes occupied <-> empty swaps and
 accepts exactly when the energy stays in its window; symmetric proposals with
 indicator acceptance make the stationary law uniform on the constrained slice.
 Each visited state is aligned once, by a correlation that each accepted swap
-updates in O(n) without an FFT.
+updates in O(n) without an FFT.  The move loop runs on Python scalars, with
+swap indices drawn in blocks that replay numpy's bounded draws bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ BURN_IN = 0.2  # fraction of each chain discarded before averaging
 ANNEAL_TRIES_PER_SITE = 500  # proposals per site of the greedy walk and of each restart
 ANNEAL_RESTARTS = 2  # random restarts, with sideways moves, after the greedy walk stalls
 TIE_MARGIN = 1e-9  # shifts within this fraction of the best correlation defer to the FFT
+DRAW_CHUNK = 4096  # proposals whose swap indices are drawn in one block
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,8 @@ class EnsembleWindow:
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise ValueError("window half-width delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("window half-width delta must be positive and finite")
         if not (math.isfinite(self.xi) and math.isfinite(self.rho)):
             raise ValueError("window center xi and rho must be finite")
 
@@ -153,6 +155,10 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     after the burn-in fraction BURN_IN are circularly aligned before averaging
     when an init profile pins the frame, by the shift that best correlates the
     sample, smoothed over max(3, n // 16) cells, with the smoothed template.
+    Swap indices come DRAW_CHUNK proposals at a time from `_swap_draws`, which
+    replays `rng.integers` on raw words and falls back to scalar calls where
+    numpy would reject a draw, so chains are bitwise those of per-proposal
+    calls; the move loop then reads the pair row and s on Python scalars.
     Each visited state is aligned once and added with its dwell count.  As
     smoothing is linear, an accepted swap moves that correlation by two
     shifted copies of the twice-smoothed template, in O(n); a state whose best
@@ -172,6 +178,8 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     if k not in particles or not 0 < k < n:
         raise ValueError(f"round(rho n) = {k} is not a particle number of the window in (0, n)")
     psi = toeplitz(pair_row(pot, n))
+    row = psi[0].tolist()  # psi[i, j] = row[abs(i - j)]
+    diag = row[0]
     width = max(3, n // 16)
     burn = int(steps * BURN_IN)
     children = np.random.SeedSequence(rng_seed).spawn(chains)
@@ -189,7 +197,6 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     if track_every < 1:
         raise ValueError("track_every must be at least 1")
     state_counts: dict[int, int] | None = {} if track_states else None
-    site_bits = 1 << np.arange(n, dtype=np.int64) if track_states else None
 
     chain_accepted = []
     e_sum = 0.0
@@ -202,47 +209,48 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
         accepted = 0
         rng = np.random.Generator(np.random.Philox(children[chain_idx]))
         occ, s, E = _anneal_into_window(psi, k, lo, hi, init_values, rng)
-        occ_idx = np.flatnonzero(occ)
-        emp_idx = np.flatnonzero(~occ)
+        occ_idx = np.flatnonzero(occ)  # kept in step with occ_list for _fold
+        occ_list, emp_list = occ_idx.tolist(), np.flatnonzero(~occ).tolist()
+        key = sum(1 << i for i in occ_list)  # the state's bit mask, for state_counts
         corr = G2[occ_idx[:, None] + np.arange(n)].sum(axis=0) if G2 is not None else None
         chain_profile = np.zeros(n)
         dwell = 0  # post-burn steps the current state has held
         rejects_in_row = 0
-        for t in range(steps):
-            a = rng.integers(k)
-            b = rng.integers(n - k)
-            i = occ_idx[a]
-            j = emp_idx[b]
-            dE = (-2.0 * s[i] + psi[i, i] + 2.0 * (s[j] - psi[i, j]) + psi[j, j])
-            E_new = E + dE
-            if lo < E_new < hi:
-                if dwell:
-                    _fold(chain_profile, occ, occ_idx, dwell, corr, width, template)
-                    dwell = 0
-                occ_idx[a] = j
-                emp_idx[b] = i
-                occ[i] = False
-                occ[j] = True
-                s += psi[j] - psi[i]
-                if corr is not None:
-                    corr += G2[j:j + n]
-                    corr -= G2[i:i + n]
-                E = E_new
-                accepted += 1
-                rejects_in_row = 0
-            else:
-                rejects_in_row += 1
-                if rejects_in_row >= n:
-                    stuck = True
-            if t >= burn:
-                dwell += 1
-                e_density = float(E) / (n * n)
-                e_sum += e_density
-                e_min = min(e_min, e_density)
-                e_max = max(e_max, e_density)
-                if state_counts is not None and (t - burn) % track_every == 0:
-                    key = int(site_bits[occ].sum())
-                    state_counts[key] = state_counts.get(key, 0) + 1
+        for t0 in range(0, steps, DRAW_CHUNK):
+            draws = _swap_draws(rng, k, n - k, min(DRAW_CHUNK, steps - t0))
+            for t, a, b in zip(range(t0, steps), *draws):
+                i = occ_list[a]
+                j = emp_list[b]
+                E_new = E + (-2.0 * s.item(i) + diag + 2.0 * (s.item(j) - row[abs(i - j)]) + diag)
+                if lo < E_new < hi:
+                    if dwell:
+                        _fold(chain_profile, occ, occ_idx, dwell, corr, width, template)
+                        dwell = 0
+                    occ_list[a] = occ_idx[a] = j
+                    emp_list[b] = i
+                    occ[i] = False
+                    occ[j] = True
+                    s += psi[j] - psi[i]
+                    if corr is not None:
+                        corr += G2[j:j + n]
+                        corr -= G2[i:i + n]
+                    if state_counts is not None:
+                        key += (1 << j) - (1 << i)
+                    E = E_new
+                    accepted += 1
+                    rejects_in_row = 0
+                else:
+                    rejects_in_row += 1
+                    if rejects_in_row >= n:
+                        stuck = True
+                if t >= burn:
+                    dwell += 1
+                    e_density = E / (n * n)
+                    e_sum += e_density
+                    e_min = min(e_min, e_density)
+                    e_max = max(e_max, e_density)
+                    if state_counts is not None and (t - burn) % track_every == 0:
+                        state_counts[key] = state_counts.get(key, 0) + 1
         _fold(chain_profile, occ, occ_idx, dwell, corr, width, template)
         chain_means.append(chain_profile / (steps - burn))
         chain_accepted.append(accepted)
@@ -268,6 +276,36 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
         state_counts=state_counts,
         chain_acceptance=tuple(a / steps for a in chain_accepted),
     )
+
+
+def _swap_draws(rng: np.random.Generator, k: int, m: int, count: int) -> list[list[int]]:
+    """The next count values of alternating rng.integers(k), rng.integers(m) (bounds
+    up to 2^32), as two lists: numpy's bounded draw (Lemire's method) replayed on
+    one `random_raw` block.  A bound b > 1 takes the next 32-bit word w (a pending
+    half word, then each raw word's low half before its high half) and yields
+    (w b) >> 32; bound 1 takes none and yields 0.  If numpy would reject a draw,
+    (w b) mod 2^32 < (2^32 - b) mod b, the block is redrawn by scalar calls."""
+    bounds = np.array([bd for bd in (k, m) if bd > 1], dtype=np.uint64)
+    if not bounds.size:
+        return [[0] * count, [0] * count]
+    need = count * bounds.size
+    bg = rng.bit_generator
+    saved = bg.state
+    pending = saved["has_uint32"]
+    raw = bg.random_raw((need - pending + 1) // 2)
+    words = np.empty(2 * raw.size + pending, dtype=np.uint64)
+    words[:pending] = saved["uinteger"]
+    words[pending:] = raw.astype("<u8", copy=False).view("<u4")  # low half first
+    state = bg.state
+    state["has_uint32"], state["uinteger"] = int(words.size > need), int(words[-1])
+    bg.state = state
+    scaled = words[:need].reshape(count, bounds.size) * bounds
+    if ((scaled & 0xFFFFFFFF) < (2 ** 32 - bounds) % bounds).any():
+        bg.state = saved
+        pairs = [(int(rng.integers(k)), int(rng.integers(m))) for _ in range(count)]
+        return [list(column) for column in zip(*pairs)]
+    columns = iter((scaled >> 32).T.tolist())
+    return [next(columns) if bd > 1 else [0] * count for bd in (k, m)]
 
 
 def _initial_config(n: int, k: int, init_values: np.ndarray | None,
@@ -322,7 +360,7 @@ def _anneal_into_window(psi: np.ndarray, k: int, lo: float, hi: float,
             s += psi[j] - psi[i]
             E += dE
         if lo < E < hi:
-            return occ, s, E
+            return occ, s, float(E)
     raise RuntimeError(
         f"could not anneal into the energy window ({lo:.6g}, {hi:.6g}); stuck at {E:.6g}")
 

@@ -283,6 +283,8 @@ class TestInputErrors:
         ["scan", "--rho", "0.23", "--deltas", "0.01,0.01", "--grid", "64"],
         # xi0 -/+ 1e-300 rounds to xi0: no secant gap
         ["scan", "--rho", "0.23", "--deltas", "1e-300", "--grid", "64"],
+        ["enumerate", "--n", "10", "--xi", "0.3", "--rho", "0.3", "--delta", "inf"],
+        ["sample", "--n", "32", "--steps", "10", "--delta", "inf"],
     ])
     def test_rejected_input_is_config_error(self, cfg, tmp_path, capsys, args):
         assert run(args + ["--config", cfg, "--out", str(tmp_path / "o")]) == 3

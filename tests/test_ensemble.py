@@ -203,8 +203,9 @@ class TestEnumerate:
             "n,count,total,empirical_S\n12,40,4096,-0.385740559384\n"
 
     def test_window_validation(self):
-        with pytest.raises(ValueError):
-            lg.EnsembleWindow(0.1, 0.2, 0.0)
+        for delta in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="delta"):
+                lg.EnsembleWindow(0.1, 0.2, delta)
         for xi, rho in ((math.nan, 0.25), (math.inf, 0.25), (0.3, math.nan)):
             with pytest.raises(ValueError, match="finite"):
                 lg.EnsembleWindow(xi, rho, 0.05)
@@ -339,6 +340,7 @@ class TestMcmc:
         (32, 2000, 2, False, False),
         (8, 4000, 1, False, True),
         (8, 7, 1, False, True),
+        (32, 2 * ensemble.DRAW_CHUNK + 7, 2, True, False),  # crosses two draw chunks
     ])
     def test_matches_per_step_reference(self, pot_a2, solve_below, n, steps, chains,
                                         with_init, track):
@@ -378,6 +380,24 @@ class TestMcmc:
         ref = reference_sample(32, pot_a2, window, 3000, 1, 17, init=init)
         assert_same_as_reference(stats, ref)
 
+    @pytest.mark.parametrize("steps,chunk", [
+        (1000, None),  # one block, shorter than a chunk
+        (2 * ensemble.DRAW_CHUNK + 7, None),  # crosses two chunk boundaries
+        (300, 7),  # odd chunks: blocks that start and end on a pending half word
+    ])
+    @pytest.mark.parametrize("k", [1, 15], ids=["one-particle", "one-hole"])
+    def test_bound_one_draws_match_reference(self, pot_a2, monkeypatch, k, steps, chunk):
+        # every k-particle configuration on 16 sites has one energy when k or 16 - k is 1
+        if chunk:
+            monkeypatch.setattr(ensemble, "DRAW_CHUNK", chunk)
+        xi = lg.energy_density(lg.make_config(16, np.arange(16) < k), pot_a2)
+        window = lg.EnsembleWindow(xi=xi, rho=k / 16, delta=0.05)
+        stats = lg.mcmc_sample(16, pot_a2, window, steps=steps, chains=2, rng_seed=5,
+                               track_states=True)
+        assert stats.particles == k and stats.acceptance_rate == 1.0
+        ref = reference_sample(16, pot_a2, window, steps, 2, 5, track_states=True)
+        assert_same_as_reference(stats, ref)
+
     @given(st.integers(4, 10), st.data())
     def test_visited_states_lie_in_the_slice(self, pot_a2, n, data):
         # the window edges sit halfway between energy levels of the k-particle
@@ -410,6 +430,72 @@ class TestMcmc:
         window = lg.EnsembleWindow(xi=XI_CURVE, rho=RHO, delta=0.05)
         with pytest.raises(ValueError, match="at least 1"):
             lg.mcmc_sample(32, pot_a2, window, steps=steps, chains=chains, rng_seed=1)
+
+
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts its scalar `integers` calls."""
+
+    calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return super().integers(*args, **kwargs)
+
+
+def bit_state(rng):
+    st = rng.bit_generator.state
+    return (st["state"]["counter"].tolist(), st["state"]["key"].tolist(), st["buffer"].tolist(),
+            st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+
+def scalar_draws(rng, k, m, count):
+    pairs = [(int(rng.integers(k)), int(rng.integers(m))) for _ in range(count)]
+    return [[a for a, _ in pairs], [b for _, b in pairs]]
+
+
+class TestSwapDraws:
+    """`_swap_draws` against scalar `Generator.integers` calls on a fresh Philox.
+
+    These pin the replay of numpy's bounded-integer algorithm: if numpy changes
+    it, these fail instead of the sampler's chains changing silently.
+    """
+
+    @pytest.mark.parametrize("pending", [False, True], ids=["aligned", "half-word-pending"])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4096])
+    # the sampler's bounds at n = 8 and n = 512; bound 1, which takes no word, so
+    # that odd counts leave a half word pending; and the largest 32-bit bounds
+    @pytest.mark.parametrize("k,m", [(2, 6), (118, 394), (1, 7), (7, 1), (1, 1),
+                                     (2 ** 32 - 1, 2 ** 32)])
+    def test_matches_scalar_draws(self, k, m, count, pending):
+        for seed in range(5):
+            fast = CountingGenerator(np.random.Philox(seed))
+            slow = np.random.Generator(np.random.Philox(seed))
+            if pending:  # one 32-bit draw leaves the high half of a raw word pending
+                assert fast.integers(3) == slow.integers(3)
+                fast.calls = 0
+                assert fast.bit_generator.state["has_uint32"] == 1
+            draws = ensemble._swap_draws(fast, k, m, count)
+            assert draws == scalar_draws(slow, k, m, count)
+            assert all(type(v) is int for column in draws for v in column)
+            assert fast.calls == 0  # no rejection here: the block path made every draw
+            # the stream continues where scalar draws leave it, pending half word and all
+            assert bit_state(fast) == bit_state(slow)
+            assert fast.integers(1000, size=5).tolist() == slow.integers(1000, size=5).tolist()
+            assert fast.random() == slow.random()
+
+    @pytest.mark.parametrize("pending", [False, True], ids=["aligned", "half-word-pending"])
+    def test_rejection_replays_the_block_with_scalar_draws(self, pending):
+        # about half of all draws with bound 2^31 + 1 are rejected by numpy
+        bound = 2 ** 31 + 1
+        fast = CountingGenerator(np.random.Philox(7))
+        slow = np.random.Generator(np.random.Philox(7))
+        if pending:
+            assert fast.integers(3) == slow.integers(3)
+            fast.calls = 0
+        assert ensemble._swap_draws(fast, bound, 6, 50) == scalar_draws(slow, bound, 6, 50)
+        assert fast.calls == 100  # the block was redrawn by scalar calls
+        assert bit_state(fast) == bit_state(slow)
+        assert fast.integers(1000, size=5).tolist() == slow.integers(1000, size=5).tolist()
 
 
 class TestCompareProfile:
