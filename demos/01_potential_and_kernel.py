@@ -13,7 +13,7 @@ from scipy import integrate
 
 import latgas as lg
 
-pot = lg.Potential.power_plateau(r=0.5, M=10.0, periodic=True)
+pot = lg.Potential.power_plateau(r=0.5, M=10.0)
 
 print("psi(0)    =", lg.eval_psi(pot, 0.0), " (no self-interaction)")
 print("psi(0.01) =", lg.eval_psi(pot, 0.01), " (power-law core)")

@@ -16,7 +16,6 @@ from .potential import (
     cell_kernel,
     eval_psi,
     integrated_interaction,
-    to_config,
 )
 from .functional import (
     OccupancyProfile,

@@ -94,7 +94,7 @@ def entropy_H(f: OccupancyProfile) -> float:
 def xi(f: OccupancyProfile, K: KernelMatrix) -> float:
     """Kernel quadratic form (1/m^2) f.K.f, from the kernel row."""
     _check_sizes(f, K)
-    return float(lag_sums(f.values, K.periodic) @ K.row) / (f.m * f.m)
+    return float(lag_sums(f.values) @ K.row) / (f.m * f.m)
 
 
 def density_N(f: OccupancyProfile) -> float:

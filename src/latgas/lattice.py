@@ -47,13 +47,13 @@ def energy_density(cfg: LatticeConfig, pot: Potential) -> float:
     """Pair energy density n^-2 sum_{I,J} eta(I) eta(J) psi(|I-J|/n).
 
     Both ordered pairs are counted and the diagonal I = J enters through
-    psi at distance zero; periodic potentials use the torus distance.  The
+    psi at distance zero; |I-J| is the torus distance.  The
     double sum is a sum over site offsets k of the number of occupied pairs
     k apart (:func:`lag_sums`) times :func:`pair_row`.  The counts are
     integers, so rounding them makes them exact.
     """
     n = cfg.n
-    counts = np.rint(lag_sums(cfg.occupancy, pot.periodic))
+    counts = np.rint(lag_sums(cfg.occupancy))
     return float(counts @ pair_row(pot, n)) / (n * n)
 
 
@@ -70,11 +70,10 @@ def riemann_discrepancy(n: int, pot: Potential) -> float:
 
     Returns sum_{I,J} |n^-2 psi(|I-J|/n) - integral over cell_I x cell_J|,
     which bounds |E_n(eta) - xi(f^eta)| uniformly over configurations.
-    Both tables are Toeplitz in the site offset k, so the double sum is the
+    Both tables are circulant in the site offset k, so the double sum is the
     quadratic form of the row |pair_row - kernel_row| at the all-ones vector,
-    whose pair sums count how often each offset occurs: n times when
-    periodic; with free boundaries n times at k = 0 and 2 (n - k) times at
-    k > 0.  The work is O(n log n), so n has no cap.
+    whose pair sums count how often each offset occurs: n times.  The work
+    is O(n log n), so n has no cap.
     """
     gap = np.abs(pair_row(pot, n) - kernel_row(pot, n))
-    return float(np.rint(lag_sums(np.ones(n), pot.periodic)) @ gap) / (n * n)
+    return float(np.rint(lag_sums(np.ones(n))) @ gap) / (n * n)

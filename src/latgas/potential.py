@@ -5,22 +5,23 @@ The package is one dimensional: a potential psi maps the pair distance t in
 supported:
 
 * ``power_plateau`` -- t**(-r) on (0, 1/4), a flat plateau M from 1/4 on,
-  with psi(0) = 0 so that a site does not interact with itself.  With
-  periodic boundaries the profile is mirrored, psi(t) = psi(1 - t).
+  with psi(0) = 0 so that a site does not interact with itself.
 * ``constant`` -- psi == J everywhere, including t = 0 (mean-field limit).
 * ``tabulated`` -- linear interpolation through user-supplied (t, value)
   knots, clamped at the ends.
 
-Every pair table is the symmetric Toeplitz matrix of one stored offset row:
-:func:`kernel_row` holds the cell-pair averages of psi that every continuum
-functional is built on, :func:`pair_row` the values of psi at the lattice
-site offsets.  A quadratic form of a table is its row dotted with the pair
-sums :func:`lag_sums` of the vector and a product with the table is an FFT
-Toeplitz product of the row, so no m x m table is stored; the solver works
-on the half-size blocks of :attr:`KernelMatrix.folded`.  The integrated
-interaction (the double integral of psi(|x - y|) over the unit square) and
-the kernel row come from closed-form antiderivatives of the power-law,
-plateau and linear segments, so neither carries quadrature error.
+Boundaries are periodic: every potential is evaluated at the torus
+distance, psi(t) = psi(1 - t), so every pair table is the symmetric
+circulant matrix of one stored offset row: :func:`kernel_row` holds the
+cell-pair averages of psi that every continuum functional is built on,
+:func:`pair_row` the values of psi at the lattice site offsets.  A quadratic
+form of a table is its row dotted with the cyclic pair sums :func:`lag_sums`
+of the vector and a product with the table is an FFT Toeplitz product of
+the row, so no m x m table is stored; the solver works on the half-size
+blocks of :attr:`KernelMatrix.folded`.  The integrated interaction (the
+double integral of psi(|x - y|) over the unit square) and the kernel row
+come from closed-form antiderivatives of the power-law, plateau and linear
+segments, so neither carries quadrature error.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ TABULATED = "tabulated"
 
 _KINDS = (POWER_PLATEAU, CONSTANT, TABULATED)
 
-# the keys a [potential] config section may hold
+# the keys a [potential] config section may hold; periodic may only be true
 CONFIG_KEYS = frozenset({"kind", "r", "M", "J", "samples", "periodic", "d"})
 
 # piecewise breakpoints of the power-law/plateau profile
@@ -48,14 +49,13 @@ _HALF = 0.5
 
 @dataclass(frozen=True)
 class Potential:
-    """A pair interaction with its parameters and boundary metadata."""
+    """A pair interaction with its parameters."""
 
     kind: str
     r: float | None = None
     M: float | None = None
     J: float | None = None
     samples: tuple[tuple[float, float], ...] = ()
-    periodic: bool = True
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -80,17 +80,17 @@ class Potential:
                 raise ValueError("tabulated knots must lie in [0, 1]")
 
     @classmethod
-    def power_plateau(cls, r: float, M: float, periodic: bool = True) -> "Potential":
-        return cls(kind=POWER_PLATEAU, r=float(r), M=float(M), periodic=periodic)
+    def power_plateau(cls, r: float, M: float) -> "Potential":
+        return cls(kind=POWER_PLATEAU, r=float(r), M=float(M))
 
     @classmethod
-    def constant(cls, J: float, periodic: bool = True) -> "Potential":
-        return cls(kind=CONSTANT, J=float(J), periodic=periodic)
+    def constant(cls, J: float) -> "Potential":
+        return cls(kind=CONSTANT, J=float(J))
 
     @classmethod
-    def tabulated(cls, samples, periodic: bool = True) -> "Potential":
+    def tabulated(cls, samples) -> "Potential":
         knots = tuple((float(t), float(v)) for t, v in samples)
-        return cls(kind=TABULATED, samples=knots, periodic=periodic)
+        return cls(kind=TABULATED, samples=knots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,20 +98,18 @@ class KernelMatrix:
     """Cell-pair averaged interaction table on the uniform m-grid of [0, 1].
 
     row[k] equals m^2 times the integral of psi(|x - y|) over cell_0 x cell_k
-    (:func:`kernel_row`).  The table is the symmetric Toeplitz matrix of the
-    row, circulant when periodic, and is never stored: callers that need it
-    dense build toeplitz(row).  folded holds, for a periodic table, its two
-    half-size blocks on profiles even and odd under the reflection
-    i <-> m-1-i, built on first use.
+    (:func:`kernel_row`).  The table is the symmetric circulant matrix of the
+    row and is never stored: callers that need it dense build toeplitz(row).
+    folded holds its two half-size blocks on profiles even and odd under the
+    reflection i <-> m-1-i, built on first use.
     """
 
     m: int
     row: np.ndarray
-    periodic: bool
 
     @cached_property
     def folded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(T + P, T - P, w) of a periodic table on the first h = ceil(m/2) cells, read-only.
+        """(T + P, T - P, w) of the table on the first h = ceil(m/2) cells, read-only.
 
         T = toeplitz(row[:h]) pairs cell i with cell j and P[i, j] = row[|i + j + 1 - m|]
         with its mirror m-1-j, so an even f acts as (T + P) f[:h] and an odd one as
@@ -133,9 +131,9 @@ class KernelMatrix:
 def eval_psi(pot: Potential, t):
     """Evaluate psi at distance(s) t; accepts scalars or arrays.
 
-    When the potential is periodic the argument is folded, t -> 1 - t for
-    t > 1/2, before the piecewise rule is applied.  Distances outside [0, 1]
-    raise a ValueError.
+    The argument is folded to the torus distance, t -> 1 - t for t > 1/2,
+    before the piecewise rule is applied.  Distances outside [0, 1] raise a
+    ValueError.
     """
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
@@ -143,8 +141,7 @@ def eval_psi(pot: Potential, t):
     if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
         raise ValueError("distance outside the potential domain [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
-    if pot.periodic:
-        arr = np.where(arr > _HALF, 1.0 - arr, arr)
+    arr = np.where(arr > _HALF, 1.0 - arr, arr)
     if pot.kind == CONSTANT:
         out = np.full(arr.shape, float(pot.J))
     elif pot.kind == POWER_PLATEAU:
@@ -164,14 +161,11 @@ def eval_psi(pot: Potential, t):
 def integrated_interaction(pot: Potential) -> float:
     """Double integral of psi(|x - y|) over the unit square of pairs (x, y).
 
-    This is the exact moment int_0^1 psi when periodic (the row integral is
-    shift invariant; 2 * 4**(r-1) / (1-r) + M / 2 for the power-law/plateau
-    interaction) and 2 * int_0^1 (1 - t) psi(t) dt with free boundaries,
-    both summed segment by segment without quadrature.
+    This is the exact moment int_0^1 psi (the row integral is shift
+    invariant; 2 * 4**(r-1) / (1-r) + M / 2 for the power-law/plateau
+    interaction), summed segment by segment without quadrature.
     """
-    if pot.periodic:
-        return _psi_weighted(pot, 0.0, 1.0, 1.0, 0.0)
-    return 2.0 * _psi_weighted(pot, 0.0, 1.0, 1.0, -1.0)
+    return _psi_weighted(pot, 0.0, 1.0, 1.0, 0.0)
 
 
 def _segments(pot: Potential):
@@ -184,17 +178,14 @@ def _segments(pot: Potential):
     if pot.kind == CONSTANT:
         return [(0.0, 1.0, "const", float(pot.J))]
     if pot.kind == POWER_PLATEAU:
-        if pot.periodic:
-            return [
-                (0.0, _CORE_END, "power", None),
-                (_CORE_END, 1.0 - _CORE_END, "const", float(pot.M)),
-                (1.0 - _CORE_END, 1.0, "mirror", None),
-            ]
-        return [(0.0, _CORE_END, "power", None), (_CORE_END, 1.0, "const", float(pot.M))]
+        return [
+            (0.0, _CORE_END, "power", None),
+            (_CORE_END, 1.0 - _CORE_END, "const", float(pot.M)),
+            (1.0 - _CORE_END, 1.0, "mirror", None),
+        ]
     # tabulated: linear pieces between consecutive knots of the folded profile
-    knots = sorted({0.0, 1.0} | {t for t, _ in pot.samples if 0.0 < t < 1.0}
-                   | ({1.0 - t for t, _ in pot.samples if 0.0 < t < 1.0} if pot.periodic else set())
-                   | ({0.5} if pot.periodic else set()))
+    inner = {t for t, _ in pot.samples if 0.0 < t < 1.0}
+    knots = sorted({0.0, _HALF, 1.0} | inner | {1.0 - t for t in inner})
     segs = []
     for a, b in zip(knots, knots[1:]):
         va = eval_psi(pot, a)
@@ -240,77 +231,56 @@ def kernel_row(pot: Potential, m: int) -> np.ndarray:
     """Offset row of the m-cell kernel: entry k averages psi over cell pairs k apart.
 
     Entry k is m^2 times the integral of psi(|x - y|) over cell_0 x cell_k.
-    Under periodic boundaries the mirrored offsets m - k are copied bitwise
-    from k, so the circulant matrix of the row is exactly symmetric.
+    The mirrored offsets m - k are copied bitwise from k, so the circulant
+    matrix of the row is exactly symmetric.
     """
     if m < 2:
         raise ValueError(f"a pair table needs at least two cells, got {m}")
     h = 1.0 / m
     ent = np.empty(m)
     ent[0] = 2.0 * m * m * _psi_weighted(pot, 0.0, h, h, -1.0)
-    top = m // 2 if pot.periodic else m - 1
-    for k in range(1, top + 1):
+    for k in range(1, m // 2 + 1):
         lo, mid, hi = (k - 1) * h, k * h, (k + 1) * h
         up = _psi_weighted(pot, lo, mid, -lo, 1.0)
         down = _psi_weighted(pot, mid, hi, hi, -1.0)
         ent[k] = m * m * (up + down)
-    if pot.periodic:
-        for k in range(1, (m + 1) // 2):
-            ent[m - k] = ent[k]
+    for k in range(1, (m + 1) // 2):
+        ent[m - k] = ent[k]
     return ent
 
 
 def pair_row(pot: Potential, n: int) -> np.ndarray:
-    """psi at the n lattice site offsets: psi(k/n), or psi(min(k, n-k)/n) when periodic."""
+    """psi at the n lattice site offsets on the torus: psi(min(k, n-k)/n)."""
     k = np.arange(n, dtype=float)
-    if pot.periodic:
-        k = np.minimum(k, n - k)
-    return eval_psi(pot, k / n)
+    return eval_psi(pot, np.minimum(k, n - k) / n)
 
 
 def cell_kernel(pot: Potential, m: int) -> KernelMatrix:
     """The m-cell kernel of the continuum functionals, stored as its row."""
     row = kernel_row(pot, m)
     row.flags.writeable = False
-    return KernelMatrix(m=m, row=row, periodic=bool(pot.periodic))
+    return KernelMatrix(m=m, row=row)
 
 
-def lag_sums(values, periodic: bool) -> np.ndarray:
-    """Entry k sums v_i v_j over the ordered pairs k apart, so that v.T.v =
-    lag_sums(v) @ row for the symmetric Toeplitz table T of a row.
+def lag_sums(values) -> np.ndarray:
+    """Entry k sums v_i v_{i+k} over i, indices mod n, so that v.T.v =
+    lag_sums(v) @ row for the symmetric circulant table T of a row.
 
-    The sums are the autocorrelation of v, by FFT: cyclic when periodic, and
-    zero-padded to 2n for free boundaries, where the offsets k and -k both
-    count."""
+    The sums are the cyclic autocorrelation of v, by FFT."""
     n = np.size(values)
-    size = n if periodic else 2 * n
-    spec = np.fft.rfft(values, size)
-    lags = np.fft.irfft(spec * np.conj(spec), size)[:n]
-    if not periodic:
-        lags[1:] *= 2.0
-    return lags
+    spec = np.fft.rfft(values)
+    return np.fft.irfft(spec * np.conj(spec), n)
 
 
-# --- plain-text config block serialization -------------------------------
-
-def to_config(pot: Potential) -> str:
-    """Serialize to a ``[potential]`` config section, one key=value per line."""
-    lines = ["[potential]", f"kind={pot.kind}"]
-    if pot.kind == POWER_PLATEAU:
-        lines += [f"r={pot.r!r}", f"M={pot.M!r}"]
-    elif pot.kind == CONSTANT:
-        lines.append(f"J={pot.J!r}")
-    else:
-        lines.append("samples=" + ";".join(f"{t!r}:{v!r}" for t, v in pot.samples))
-    lines.append(f"periodic={'true' if pot.periodic else 'false'}")
-    return "\n".join(lines)
-
+# --- plain-text config block ----------------------------------------------
 
 def from_mapping(fields: dict) -> Potential:
     """Build a Potential from a parsed key/value mapping.
 
-    The optional key ``d`` is the dimension; it must be 1.  Keys outside
-    CONFIG_KEYS are refused, so a misspelt key cannot fall back to a default.
+    The optional key ``d`` is the dimension; it must be 1.  The optional key
+    ``periodic`` must be true (``true``, ``1`` or ``yes``): boundaries are
+    always periodic.  Keys outside CONFIG_KEYS are refused, so a misspelt key
+    cannot fall back to a default.
     """
     unknown = sorted(set(fields) - CONFIG_KEYS)
     if unknown:
@@ -319,26 +289,19 @@ def from_mapping(fields: dict) -> Potential:
         kind = fields["kind"]
     except KeyError:
         raise ValueError("potential block is missing 'kind'") from None
-    periodic = _parse_bool(fields.get("periodic", "true"))
+    if fields.get("periodic", "true").strip().lower() not in ("true", "1", "yes"):
+        raise ValueError(f"only periodic boundaries are supported, got periodic = "
+                         f"{fields['periodic']!r}")
     if int(fields.get("d", 1)) != 1:
         raise ValueError(f"potentials are one dimensional, got d = {fields['d']}")
     if kind == POWER_PLATEAU:
-        return Potential.power_plateau(float(fields["r"]), float(fields["M"]), periodic)
+        return Potential.power_plateau(float(fields["r"]), float(fields["M"]))
     if kind == CONSTANT:
-        return Potential.constant(float(fields["J"]), periodic)
+        return Potential.constant(float(fields["J"]))
     if kind == TABULATED:
         pairs = []
         for item in fields["samples"].split(";"):
             t, v = item.split(":")
             pairs.append((float(t), float(v)))
-        return Potential.tabulated(pairs, periodic)
+        return Potential.tabulated(pairs)
     raise ValueError(f"unknown potential kind {kind!r}")
-
-
-def _parse_bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("true", "1", "yes"):
-        return True
-    if v in ("false", "0", "no"):
-        return False
-    raise ValueError(f"cannot parse boolean {s!r}")

@@ -200,10 +200,8 @@ def solve_multipliers(K: KernelMatrix, target_xi: float, target_rho: float, seed
     when both constraint gaps are within CONSTRAINT_TOL and the fixed-point
     gap is below 1e-7, so a stalled run comes back flagged instead of raising.
     LICQ fails (degenerate) when the smoothed field Kf/m is constant at xi/rho
-    to 1e-6, so that the constraint gradients are parallel.  K must be periodic.
+    to 1e-6, so that the constraint gradients are parallel.
     """
-    if not K.periodic:
-        raise ValueError("the variational solver is implemented for periodic boundaries")
     if not 0.0 < target_rho < 1.0:
         raise ValueError("target density must lie in (0, 1)")
     if not math.isfinite(target_xi):

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .functional import (
     constant_profile,
@@ -87,8 +86,8 @@ def feasibility_probe(pot: Potential, rho: float, m: int = 2048,
     against the grid quadratic form at resolution m; disagreement beyond
     grid_tol raises.
     """
-    if pot.kind != POWER_PLATEAU or not pot.periodic:
-        raise ValueError("the feasibility probe needs the periodic power/plateau interaction")
+    if pot.kind != POWER_PLATEAU:
+        raise ValueError("the feasibility probe needs the power/plateau interaction")
     if not 0.0 < rho <= 0.25:
         raise ValueError("the probe is valid for rho in (0, 1/4]")
     r, M = pot.r, pot.M
@@ -138,12 +137,9 @@ def spectral_radius(K: KernelMatrix) -> float:
 
     The eigenvalues of a circulant matrix are the discrete Fourier transform
     of its first row (Gray, Toeplitz and Circulant Matrices: A Review, 2006),
-    so periodic kernels give max |rfft(row)| / m without building the dense
-    table.  Other kernels are symmetric and take a dense symmetric eigensolve.
+    so the kernel gives max |rfft(row)| / m without building the dense table.
     """
-    if K.periodic:
-        return float(np.max(np.abs(np.fft.rfft(K.row)))) / K.m
-    return float(np.max(np.abs(np.linalg.eigvalsh(toeplitz(K.row) / K.m))))
+    return float(np.max(np.abs(np.fft.rfft(K.row)))) / K.m
 
 
 def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> TransitionScan:

@@ -24,7 +24,7 @@ XI_CURVE = LAM * RHO * RHO
 
 @pytest.fixture(scope="session")
 def pot_a2():
-    return lg.Potential.power_plateau(0.5, 10.0, periodic=True)
+    return lg.Potential.power_plateau(0.5, 10.0)
 
 
 @pytest.fixture(scope="session")

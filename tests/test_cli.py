@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from latgas import cli, ensemble, solver, transition
+from latgas import cli, ensemble, functional, solver, transition
 
 CONFIG = """\
 [potential]
@@ -199,6 +199,42 @@ class TestConfigErrors:
         assert run(["lambda", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert "config error" in err and "[potential]" in err and "perodic" in err
+
+    @pytest.mark.parametrize("command", [
+        ["lambda"],
+        ["eval"],
+        ["enumerate", "--n", "12"],
+        ["sample", "--n", "32", "--steps", "200", "--seed", "1"],
+    ], ids=["lambda", "eval", "enumerate", "sample"])
+    def test_free_boundaries_refused(self, tmp_path, capsys, command):
+        # boundaries are periodic only, so a config asking for free ones must not run
+        path = tmp_path / "free.cfg"
+        path.write_text(CONFIG.replace("periodic = true", "periodic = false"))
+        if command == ["eval"]:
+            profile = tmp_path / "profile.csv"
+            profile.write_text(functional.profile_to_csv(functional.constant_profile(64, 0.23)))
+            command = ["eval", "--profile", str(profile)]
+        out = tmp_path / "o"
+        assert run(command + ["--config", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and "periodic" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, accepted", [
+        ("periodic = true", True), ("periodic = 1", True), ("periodic = yes", True),
+        ("", True), ("periodic = 0", False), ("periodic = no", False),
+        ("periodic = False", False),
+    ], ids=["true", "1", "yes", "omitted", "0", "no", "False"])
+    def test_periodic_spellings(self, tmp_path, capsys, line, accepted):
+        path = tmp_path / "periodic.cfg"
+        path.write_text(CONFIG.replace("periodic = true", line))
+        rc = run(["lambda", "--config", str(path), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        if accepted:
+            assert rc == 0 and captured.out.strip() == "7"
+        else:
+            assert rc == 3 and "periodic" in captured.err
 
     def test_removed_solver_key_refused(self, tmp_path, capsys):
         # the solver tolerances are constants, no longer [solver] keys

@@ -34,8 +34,7 @@ def slice_configs(n, pot, window):
     for i in range(n):
         for j in range(n):
             d = abs(i - j)
-            if pot.periodic:
-                d = min(d, n - d)
+            d = min(d, n - d)
             psi[i, j] = lg.eval_psi(pot, d / n)
     out = []
     for bits in itertools.product([0, 1], repeat=n):

@@ -158,17 +158,16 @@ class TestQuadraticFormProperties:
 
     @given(st.integers(2, 64).flatmap(lambda m: st.tuples(
         st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m),
-        st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))), st.booleans())
-    def test_row_form_matches_dense(self, row_and_values, periodic):
+        st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))))
+    def test_row_form_matches_dense(self, row_and_values):
         row, values = (np.array(v) for v in row_and_values)
-        if periodic:
-            # a circulant row also satisfies row[k] = row[m - k]
-            row = 0.5 * (row + np.roll(row[::-1], 1))
+        # a circulant row also satisfies row[k] = row[m - k]
+        row = 0.5 * (row + np.roll(row[::-1], 1))
         m = row.size
         dense = float(values @ toeplitz(row) @ values) / m ** 2
         # relative to the form's scale, so cancelling rows do not divide by ~0
         scale = float(np.abs(row).sum()) * (values.sum() / m) ** 2
-        got = lg.xi(lg.make_profile(values), KernelMatrix(m=m, row=row, periodic=periodic))
+        got = lg.xi(lg.make_profile(values), KernelMatrix(m=m, row=row))
         assert abs(got - dense) <= 1e-13 * max(abs(dense), scale)
 
     def test_dense_table_stays_lazy(self, pot_a2, rng):

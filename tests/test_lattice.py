@@ -2,27 +2,32 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 import latgas as lg
 
 
 def brute_energy(cfg, pot):
-    """Reference O(n^2) double loop over all ordered site pairs."""
+    """Reference O(n^2) double loop over all ordered site pairs, torus distance."""
     n = cfg.n
     occ = np.flatnonzero(cfg.occupancy)
     total = 0.0
     for a in occ:
         for b in occ:
             d = abs(int(a) - int(b))
-            if pot.periodic:
-                d = min(d, n - d)
+            d = min(d, n - d)
             total += lg.eval_psi(pot, d / n)
     return total / n ** 2
 
 
-PSI_ONE = lg.Potential.tabulated([(0.0, 0.0), (1e-9, 1.0), (1.0, 1.0)], periodic=False)
+PSI_ONE = lg.Potential.tabulated([(0.0, 0.0), (1e-9, 1.0), (1.0, 1.0)])
 KNOTS = [(0.0, 0.5), (0.2, 3.0), (0.45, 1.0), (0.9, 2.0)]
+POTENTIALS = (lg.Potential.power_plateau(0.5, 10.0), lg.Potential.tabulated(KNOTS))
+# an occupancy on n in [1, 40] sites with a roll shift in [0, n)
+BITS_AND_SHIFT = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 1), min_size=n, max_size=n), st.integers(0, n - 1)))
 
 
 class TestDensities:
@@ -54,15 +59,24 @@ class TestEnergyDensity:
                                                                rel=1e-12)
 
     def test_random_vs_brute_force(self, rng):
-        for periodic in (True, False):
-            pots = (lg.Potential.power_plateau(0.5, 10.0, periodic=periodic),
-                    lg.Potential.tabulated(KNOTS, periodic=periodic))
-            for pot in pots:
-                for n in (1, 2, 5, 16, 33):
-                    bits = (rng.random(n) < 0.4).astype(int)
-                    cfg = lg.make_config(n, bits)
-                    assert lg.energy_density(cfg, pot) == pytest.approx(
-                        brute_energy(cfg, pot), rel=1e-12), (pot, n, bits)
+        for pot in POTENTIALS:
+            for n in (1, 2, 5, 16, 33):
+                bits = (rng.random(n) < 0.4).astype(int)
+                cfg = lg.make_config(n, bits)
+                assert lg.energy_density(cfg, pot) == pytest.approx(
+                    brute_energy(cfg, pot), rel=1e-12), (pot, n, bits)
+
+    @given(BITS_AND_SHIFT, st.sampled_from(POTENTIALS))
+    def test_torus_symmetries(self, bits_and_shift, pot):
+        # the pair counts by torus offset are exact integers, so a rolled or
+        # reversed occupancy gives the same energy bitwise
+        bits, shift = np.array(bits_and_shift[0]), bits_and_shift[1]
+        n = bits.size
+        cfg = lg.make_config(n, bits)
+        energy = lg.energy_density(cfg, pot)
+        assert lg.energy_density(lg.make_config(n, np.roll(bits, shift)), pot) == energy
+        assert lg.energy_density(lg.make_config(n, bits[::-1]), pot) == energy
+        assert energy == pytest.approx(brute_energy(cfg, pot), rel=1e-12)
 
     def test_translation_invariance(self, pot_a2, rng):
         bits = (rng.random(12) < 0.5).astype(int)
@@ -123,17 +137,15 @@ class TestRiemannDiscrepancy:
             gap = abs(lg.energy_density(cfg, pot_a2) - lg.xi(lg.profile(cfg, n), K))
             assert gap <= disc + 1e-12
 
-    @pytest.mark.parametrize("periodic", [True, False])
     @pytest.mark.parametrize("n", [5, 16, 33])
-    def test_matches_double_sum(self, n, periodic):
-        pot = lg.Potential.power_plateau(0.5, 10.0, periodic=periodic)
+    def test_matches_double_sum(self, n):
+        pot = lg.Potential.power_plateau(0.5, 10.0)
         K = toeplitz(lg.cell_kernel(pot, n).row)
         total = 0.0
         for i in range(n):
             for j in range(n):
                 d = abs(i - j)
-                if periodic:
-                    d = min(d, n - d)
+                d = min(d, n - d)
                 total += abs(lg.eval_psi(pot, d / n) - K[i, j])
         assert lg.riemann_discrepancy(n, pot) == pytest.approx(total / n ** 2, rel=1e-13)
 

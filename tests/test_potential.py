@@ -1,5 +1,7 @@
 """Potential evaluation, integrated interaction, and kernel assembly."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,20 +13,26 @@ import latgas as lg
 from latgas import cli, potential
 
 
-def quad_lambda(pot):
-    """Independent quadrature of the integrated interaction (d = 1).
+def config_block(pot):
+    """The README's documented ``[potential]`` block for pot, one key = value a line."""
+    lines = ["[potential]", f"kind = {pot.kind}"]
+    if pot.kind == potential.POWER_PLATEAU:
+        lines += [f"r = {pot.r!r}", f"M = {pot.M!r}"]
+    elif pot.kind == potential.CONSTANT:
+        lines.append(f"J = {pot.J!r}")
+    else:
+        lines.append("samples = " + ";".join(f"{t!r}:{v!r}" for t, v in pot.samples))
+    return "\n".join(lines) + "\n"
 
-    Periodic: int_0^1 psi; free boundaries: 2 int_0^1 (1 - t) psi(t) dt.
-    """
+
+def quad_lambda(pot):
+    """Independent quadrature of the integrated interaction int_0^1 psi (d = 1)."""
     knots = {t for t, _ in pot.samples}
     points = sorted(p for p in {0.25, 0.5, 0.75} | knots | {1.0 - t for t in knots}
                     if 0.0 < p < 1.0)
 
-    def integrand(t):
-        weight = 1.0 if pot.periodic else 2.0 * (1.0 - t)
-        return weight * lg.eval_psi(pot, t)
-
-    val, err = integrate.quad(integrand, 0.0, 1.0, points=points, limit=200)
+    val, err = integrate.quad(lambda t: lg.eval_psi(pot, t), 0.0, 1.0, points=points,
+                              limit=200)
     assert err < 1e-8
     return val
 
@@ -62,7 +70,7 @@ class TestEvalPsi:
         assert lg.eval_psi(pot, 0.0) == 3.0
 
     def test_tabulated_interpolates(self):
-        pot = lg.Potential.tabulated([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)], periodic=False)
+        pot = lg.Potential.tabulated([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
         assert lg.eval_psi(pot, 0.25) == pytest.approx(0.5)
 
 
@@ -82,19 +90,26 @@ class TestIntegratedInteraction:
 
     @pytest.mark.parametrize("pot, exact", [
         # folded profile is the tent 1 + 2 min(t, 1-t): integral = 1.5
-        (lg.Potential.tabulated([(0.0, 1.0), (0.5, 2.0), (1.0, 1.0)], periodic=True), 1.5),
-        (lg.Potential.tabulated([(0.1, 3.0), (0.45, 1.0)], periodic=True), None),
-        # 2 [int_0^(1/4) (1-t) t^(-1/2) dt + 10 int_(1/4)^1 (1-t) dt] = 179/24
-        (lg.Potential.power_plateau(0.5, 10.0, periodic=False), 179.0 / 24.0),
-        (lg.Potential.power_plateau(0.7, 2.5, periodic=False), None),
-        (lg.Potential.tabulated([(0.0, 0.0), (0.3, 2.0), (0.8, 0.5)], periodic=False), None),
-    ], ids=["periodic-tent", "periodic-tabulated", "free-plateau", "free-plateau-r07",
-            "free-tabulated"])
+        (lg.Potential.tabulated([(0.0, 1.0), (0.5, 2.0), (1.0, 1.0)]), 1.5),
+        (lg.Potential.tabulated([(0.1, 3.0), (0.45, 1.0)]), None),
+    ], ids=["periodic-tent", "periodic-tabulated"])
     def test_exact_moment_vs_quadrature(self, pot, exact):
         lam = lg.integrated_interaction(pot)
         assert lam == pytest.approx(quad_lambda(pot), rel=1e-12)
         if exact is not None:
             assert lam == pytest.approx(exact, rel=1e-14)
+
+
+# all three potential kinds, tabulated knots on a 1/64 grid
+POTENTIALS = st.one_of(
+    st.builds(lg.Potential.power_plateau, st.floats(0.01, 0.99), st.floats(0.01, 100.0)),
+    st.builds(lg.Potential.constant, st.floats(-100.0, 100.0)),
+    st.builds(lg.Potential.tabulated,
+              st.lists(st.integers(0, 64), min_size=2, max_size=6, unique=True).flatmap(
+                  lambda ks: st.lists(st.floats(-10.0, 10.0), min_size=len(ks),
+                                      max_size=len(ks)).map(
+                      lambda vs: [(k / 64, v) for k, v in zip(sorted(ks), vs)]))),
+)
 
 
 class TestCellKernel:
@@ -120,28 +135,29 @@ class TestCellKernel:
         idx = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
         assert np.array_equal(toeplitz(kernel256.row), kernel256.row[idx])
 
+    @given(POTENTIALS, st.integers(2, 200))
+    def test_row_is_mirror_symmetric(self, pot, m):
+        # row[k] == row[m - k] bitwise: the circulant table is exactly symmetric,
+        # which the folded blocks and the rfft spectral radius rely on
+        row = potential.kernel_row(pot, m)
+        assert np.array_equal(row[1:], row[:0:-1])
+
     def test_refinement_consistency(self, pot_a2):
         r1 = toeplitz(lg.cell_kernel(pot_a2, 64).row).mean(axis=1)
         r2 = toeplitz(lg.cell_kernel(pot_a2, 128).row).mean(axis=1)
         assert abs(r1.mean() - r2.mean()) < 1e-8
 
-    def test_free_boundary_toeplitz(self, rng):
-        pot = lg.Potential.power_plateau(0.5, 10.0, periodic=False)
-        m = 32
-        K = lg.cell_kernel(pot, m)
-        A = toeplitz(K.row)
-        assert np.array_equal(A, A.T)
-        idx = np.abs(np.arange(m)[None, :] - np.arange(m)[:, None])
-        assert np.array_equal(A, K.row[idx])
-        # spot-check an entry whose cell pair straddles the 1/4 breakpoint:
-        # reduce to the offset coordinate u = y - x with its tent weight
-        k = 8
+    def test_entry_straddling_breakpoint(self, pot_a2):
+        # a cell pair whose offsets straddle the 1/4 breakpoint, by quadrature
+        # in the offset coordinate u = y - x with its tent weight
+        m, k = 32, 8
         lo, mid, hi = (k - 1) / m, k / m, (k + 1) / m
-        up, _ = integrate.quad(lambda u: lg.eval_psi(pot, u) * (u - lo), lo, mid,
-                               points=[0.25], limit=200, epsabs=1e-13)
-        down, _ = integrate.quad(lambda u: lg.eval_psi(pot, u) * (hi - u), mid, hi,
-                                 points=[0.25], limit=200, epsabs=1e-13)
-        assert A[3, 3 + k] == pytest.approx(m * m * (up + down), rel=1e-10)
+        up, _ = integrate.quad(lambda u: lg.eval_psi(pot_a2, u) * (u - lo), lo, mid,
+                               limit=200, epsabs=1e-13)
+        down, _ = integrate.quad(lambda u: lg.eval_psi(pot_a2, u) * (hi - u), mid, hi,
+                                 limit=200, epsabs=1e-13)
+        assert potential.kernel_row(pot_a2, m)[k] == pytest.approx(m * m * (up + down),
+                                                                    rel=1e-10)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -152,27 +168,12 @@ KNOTS = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6, unique=True).flatm
 
 
 class TestKernelRowMean:
-    @given(st.one_of(
-        st.builds(lg.Potential.power_plateau, st.floats(0.01, 0.99), st.floats(0.01, 100.0),
-                  st.booleans()),
-        st.builds(lg.Potential.constant, st.floats(-100.0, 100.0), st.booleans()),
-        st.builds(lg.Potential.tabulated,
-                  st.lists(st.integers(0, 64), min_size=2, max_size=6, unique=True).flatmap(
-                      lambda ks: st.lists(st.floats(-10.0, 10.0), min_size=len(ks),
-                                          max_size=len(ks)).map(
-                          lambda vs: [(k / 64, v) for k, v in zip(sorted(ks), vs)])),
-                  st.booleans()),
-    ), st.integers(2, 200))
+    @given(POTENTIALS, st.integers(2, 200))
     def test_row_mean_is_lambda(self, pot, m):
-        # the mean of the table's m^2 entries is the double integral lambda
+        # the mean of the circulant table's m^2 entries, the row mean, is lambda
         row = potential.kernel_row(pot, m)
-        if pot.periodic:
-            mean = row.mean()
-        else:
-            weights = 2.0 * (m - np.arange(m))
-            weights[0] = m
-            mean = weights @ row / m ** 2
-        assert mean == pytest.approx(lg.integrated_interaction(pot), rel=1e-12, abs=1e-12)
+        assert row.mean() == pytest.approx(lg.integrated_interaction(pot), rel=1e-12,
+                                           abs=1e-12)
 
 
 class TestValidationAndConfig:
@@ -196,34 +197,32 @@ class TestValidationAndConfig:
 
     @pytest.mark.parametrize("pot", [
         lg.Potential.power_plateau(0.5, 10.0),
-        lg.Potential.constant(3.0, periodic=False),
-        lg.Potential.tabulated([(0.0, 0.0), (0.5, 2.0)], periodic=True),
+        lg.Potential.constant(3.0),
+        lg.Potential.tabulated([(0.0, 0.0), (0.5, 2.0)]),
     ])
     def test_config_roundtrip(self, pot):
-        text = lg.to_config(pot)
-        assert potential.from_mapping(cli.parse_config(text)["potential"]) == pot
+        assert potential.from_mapping(cli.parse_config(config_block(pot))["potential"]) == pot
 
     @given(st.one_of(
         st.builds(lg.Potential.power_plateau,
                   st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-                  st.floats(0.0, 1e6, exclude_min=True), st.booleans()),
-        st.builds(lg.Potential.constant, FINITE, st.booleans()),
-        st.builds(lg.Potential.tabulated, KNOTS, st.booleans()),
+                  st.floats(0.0, 1e6, exclude_min=True)),
+        st.builds(lg.Potential.constant, FINITE),
+        st.builds(lg.Potential.tabulated, KNOTS),
     ))
     def test_config_roundtrip_property(self, pot):
-        # every key to_config writes is one that from_mapping accepts
-        text = lg.to_config(pot)
-        assert potential.from_mapping(cli.parse_config(text)["potential"]) == pot
+        # the documented keys rebuild every potential, values written as repr
+        assert potential.from_mapping(cli.parse_config(config_block(pot))["potential"]) == pot
 
     def test_unknown_key_refused(self):
         with pytest.raises(ValueError, match="perodic"):
             potential.from_mapping({"kind": "constant", "J": "1.0", "perodic": "false"})
 
     def test_config_format(self, pot_a2):
-        text = lg.to_config(pot_a2)
-        assert text.splitlines()[0] == "[potential]"
-        assert "kind=power_plateau" in text
-        assert "periodic=true" in text
+        # the README's example [potential] block builds the reference potential
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("Example config:\n\n```ini\n", 1)[1].split("```", 1)[0]
+        assert potential.from_mapping(cli.parse_config(example)["potential"]) == pot_a2
 
     def test_requires_d1(self):
         block = {"kind": "constant", "J": "1.0"}

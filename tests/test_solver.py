@@ -248,16 +248,6 @@ class TestBranchDiagnostics:
         f = lg.make_profile(RHO * (1.0 + 0.5 * np.cos(4 * np.pi * x)))
         assert lg.classify_branch(f) == "multimodal(2)"
 
-    def test_free_kernel_refused(self, monkeypatch):
-        K = lg.cell_kernel(lg.Potential.power_plateau(0.5, 10.0, periodic=False), 16)
-
-        def newton_must_not_run(*args, **kwargs):
-            raise AssertionError("the Newton solve ran on a free kernel")
-
-        monkeypatch.setattr(solver, "_newton_kkt", newton_must_not_run)
-        with pytest.raises(ValueError, match="periodic"):
-            lg.solve_multipliers(K, 0.3, 0.2, lg.constant_profile(16, 0.2))
-
     def test_degenerate_constant_on_curve(self, solve_on_curve):
         assert solve_on_curve.degenerate
 
