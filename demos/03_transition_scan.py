@@ -4,7 +4,8 @@
 Certifies that the curve point is reachable from both sides (three test
 profiles), then scans the entropy across the curve and checks the slope
 bound c/sigma from the convexity gap of the binary entropy and the spectral
-radius of the kernel operator.  `latgas scan` writes the same records as
+radius of the kernel operator, and sets the closed-form slopes of the
+kernel spectrum beside the measured ones.  `latgas scan` writes the same records as
 CSV and JSON.
 """
 
@@ -28,4 +29,7 @@ print("scan points:")
 for p in scan.points:
     print(f"  xi={p.xi_target:.4f}  S={p.S:+.6f}  {p.branch:14s} beta={p.beta:+.3f}")
 print(f"one-sided slopes: left {scan.left_slope:+.3f}, right {scan.right_slope:+.3f}")
+print(f"closed form from the kernel spectrum: left {scan.spectral_left:+.3f} "
+      f"(mode k = {scan.k_below}), right {scan.spectral_right:+.3f} (mode k = {scan.k_above}); "
+      f"supercritical: {scan.supercritical}")
 print(f"both exceed c/sigma in magnitude -> first-order kink: {scan.kink_ok}")

@@ -11,14 +11,17 @@ supported:
   knots, clamped at the ends.
 
 Boundaries are periodic: every potential is evaluated at the torus
-distance, psi(t) = psi(1 - t), so every pair table is the symmetric
-circulant matrix of one stored offset row: :func:`kernel_row` holds the
-cell-pair averages of psi that every continuum functional is built on,
-:func:`pair_row` the values of psi at the lattice site offsets.  A quadratic
-form of a table is its row dotted with the cyclic pair sums :func:`lag_sums`
-of the vector and a product with the table is an FFT Toeplitz product of
-the row, so no m x m table is stored; the solver works on the half-size
-blocks of :attr:`KernelMatrix.folded`.  The integrated interaction (the
+distance, psi(t) = psi(1 - t), so only its values on [0, 1/2] are read: a
+tabulated potential counts knots past t = 1/2 only through the segment that
+crosses 1/2, and psi(t) for t > 1/2 is the interpolant at 1 - t.  Every pair
+table is the symmetric circulant matrix of one stored offset row:
+:func:`kernel_row` holds the cell-pair averages of psi that every continuum
+functional is built on, :func:`pair_row` the values of psi at the lattice
+site offsets.  A quadratic form of a table is its row dotted with the cyclic
+pair sums :func:`lag_sums` of the vector and a product with the table is an
+FFT Toeplitz product of the row, so no m x m table is stored; the solver
+works on the half-size blocks of :attr:`KernelMatrix.folded` and picks its
+seeds from the eigenvalues :attr:`KernelMatrix.spectrum`.  The integrated interaction (the
 double integral of psi(|x - y|) over the unit square) and the kernel row
 come from closed-form antiderivatives of the power-law, plateau and linear
 segments, so neither carries quadrature error.
@@ -89,6 +92,13 @@ class Potential:
 
     @classmethod
     def tabulated(cls, samples) -> "Potential":
+        """Linear interpolation through (t, value) knots in [0, 1], clamped at the ends.
+
+        Only the interpolant on [0, 1/2] is read, at the torus distance: with
+        knots (0, 1) and (1, 3), psi(0.9) = psi(0.1) = 1.2, and a knot past 1/2
+        counts only through the segment that crosses 1/2.  Symmetric tables,
+        with a knot at t = 1 mirroring the one at 0, read as written.
+        """
         knots = tuple((float(t), float(v)) for t, v in samples)
         return cls(kind=TABULATED, samples=knots)
 
@@ -100,12 +110,26 @@ class KernelMatrix:
     row[k] equals m^2 times the integral of psi(|x - y|) over cell_0 x cell_k
     (:func:`kernel_row`).  The table is the symmetric circulant matrix of the
     row and is never stored: callers that need it dense build toeplitz(row).
-    folded holds its two half-size blocks on profiles even and odd under the
-    reflection i <-> m-1-i, built on first use.
+    spectrum holds the eigenvalues of the scaled table and folded its two
+    half-size blocks on profiles even and odd under the reflection
+    i <-> m-1-i, each built on first use.
     """
 
     m: int
     row: np.ndarray
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """lambda_k = Re rfft(row)[k] / m for k = 0 .. m//2, read-only.
+
+        The circulant table is diagonal in the Fourier basis, so lambda_k is the
+        eigenvalue of (1/m) K on the modes cos and sin(2 pi k x); lambda_0 is the
+        grid's integrated interaction, the energy of the constant profile is
+        lambda_0 rho^2.
+        """
+        lam = np.fft.rfft(self.row).real / self.m
+        lam.flags.writeable = False
+        return lam
 
     @cached_property
     def folded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -15,8 +15,13 @@ iterate, rolled back, is the seed's candidate, judged on the residual the
 solve already holds; a converged one carries a second-order certificate, the
 inertias of the even and the odd block of its KKT matrix.  solve_entropy runs
 that path from the k-bump seed family (constant plus cos(2 pi k x),
-k = 1..6) and keeps the candidate of maximal entropy; a seed that converges to
-the constant ends the multistart (Jensen stop, see solve_entropy).
+k = 1..6) and keeps the candidate of maximal entropy.  The kernel spectrum
+picks the seeds: near the constant a mode-k perturbation of amplitude eps
+moves xi by about eps^2 lambda_k, so off the curve only the seeds whose
+lambda_k has the sign of xi - lambda_0 rho^2 run, and the rest of the family
+only if none of them converges.  On the curve the whole family runs, the
+constant first; a seed that converges to the constant ends the multistart
+(Jensen stop, see solve_entropy).
 """
 
 from __future__ import annotations
@@ -240,10 +245,11 @@ def solve_multipliers(K: KernelMatrix, target_xi: float, target_rho: float, seed
 def default_seeds(m: int, rho: float):
     """The constant profile and rho (1 + cos(2 pi k x) / 2) for k = 1..6.
 
-    The constant comes first, so on the curve it ends the multistart at
-    once.  Above the curve the reference optimizer has three bumps and is
-    reached from the k = 3 seed, so the family has to run past the one- and
-    two-bump shapes.  Values are clipped into (0, 1).
+    Seed k excites mode k, which moves xi off the curve by about
+    eps^2 lambda_k: a k-bump branch lies on the side sign(lambda_k) of the
+    curve, so off the curve solve_entropy runs the seeds of that sign first
+    (spectral_seeds).  The constant comes first, so on the curve it ends the
+    multistart at once.  Values are clipped into (0, 1).
     """
     x = (np.arange(m) + 0.5) / m
     raw = [np.full(m, rho)]
@@ -251,16 +257,37 @@ def default_seeds(m: int, rho: float):
     return [make_profile(np.clip(v, 1e-4, 1.0 - 1e-4)) for v in raw]
 
 
+def spectral_seeds(K: KernelMatrix, xi_target: float, rho: float, count: int) -> list[int]:
+    """Indices into the count default_seeds that solve_entropy runs first, in family order.
+
+    On the curve, |xi - lambda_0 rho^2| <= CONSTRAINT_TOL max(1, |xi|), every
+    seed, the constant first.  Off it, the k-bump seeds whose eigenvalue
+    lambda_k (KernelMatrix.spectrum; mode k folded onto 0..m//2 on a coarse
+    grid) has the sign of xi - lambda_0 rho^2: a branch leaving the constant
+    in mode k moves xi by eps^2 lambda_k.
+    """
+    lam = K.spectrum
+    dxi = xi_target - rho * rho * lam[0]
+    if abs(dxi) <= CONSTRAINT_TOL * max(1.0, abs(xi_target)):
+        return list(range(count))
+    return [k for k in range(1, count) if lam[min(k % K.m, -k % K.m)] * dxi > 0.0]
+
+
 def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT_GRID,
                   seeds=None, kernel: KernelMatrix | None = None) -> SolveResult:
     """Multistart entropy maximization at fixed (xi, rho).
 
-    Runs solve_multipliers from each seed in order (default_seeds unless
-    given) and returns the converged candidate of maximal entropy; ties
-    within 1e-9 go to the profile with fewer peaks, then to the earlier
-    seed.  The winner is circularly shifted by align_peak.  If every start
-    fails the result comes back with converged=False and the least-bad
-    diagnostics.
+    Runs solve_multipliers from the seeds and returns the converged candidate
+    of maximal entropy; ties within 1e-9 go to the profile with fewer peaks,
+    then to the lower seed index.  Given seeds run in their order and seed i
+    is their position.  Without them the seeds are default_seeds, seed k is
+    its family index (0 the constant), and spectral_seeds picks those that
+    run first: the whole family on the curve, else the k-bump seeds on the
+    target's side of it.  If none of these converges the rest of the family
+    runs in family order, so such a target gets the full multistart.  The
+    winner is circularly shifted by align_peak.  If every start fails the
+    result comes back with converged=False and the least-bad diagnostics
+    (ties to the lower seed index).
 
     The seeds stop after the first one that converges to a profile
     classified constant (Jensen stop).  No later seed can beat it: hbin is
@@ -268,8 +295,9 @@ def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT
     constant attains that bound, so another candidate can exceed it only by
     the gap between the two density residuals, which the Newton tolerance
     EL_TOL keeps far inside the 1e-9 tie window; and with 0 peaks the
-    constant wins every tie.  candidates summarizes the seeds that ran (one
-    on the curve with the default seeds), each with its stop and certificate.
+    constant wins every tie.  candidates summarizes the seeds that ran, in
+    the order they ran (one on the curve with the default seeds), each with
+    its seed index, stop and certificate.
 
     A given kernel saves rebuilding the table across calls and must be
     cell_kernel(pot, m): one on another grid raises ValueError; that it was
@@ -280,22 +308,31 @@ def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT
         raise ValueError(f"kernel is on m = {K.m} cells, not m = {m}; pass cell_kernel(pot, m)")
     if seeds is None:
         seeds = default_seeds(K.m, rho)
+        first = spectral_seeds(K, xi_target, rho, len(seeds))
+        batches = [first, [k for k in range(len(seeds)) if k not in first]]
+    else:
+        seeds = list(seeds)
+        batches = [range(len(seeds))]
     results = []
-    for s in seeds:
-        results.append(solve_multipliers(K, xi_target, rho, s))
-        if results[-1].converged and results[-1].branch == "constant":
+    for batch in batches:
+        for k in batch:
+            res = solve_multipliers(K, xi_target, rho, seeds[k])
+            results.append((k, res))
+            if res.converged and res.branch == "constant":
+                break
+        if any(r.converged for _, r in results):
             break
 
     keys = ("branch", "entropy_S", "converged", "residuals", "stop", "certificate")
-    summaries = tuple({k: getattr(r, k) for k in keys} for r in results)
-    converged = [(i, r) for i, r in enumerate(results) if r.converged]
+    summaries = tuple({"seed": k, **{key: getattr(r, key) for key in keys}} for k, r in results)
+    converged = [(k, r) for k, r in results if r.converged]
     if not converged:
-        best = min(results, key=lambda r: max(r.residuals))
+        _, best = min(results, key=lambda kr: (max(kr[1].residuals), kr[0]))
         return replace(best, candidates=summaries)
     top = max(r.entropy_S for _, r in converged)
-    near = [(i, r) for i, r in converged if r.entropy_S >= top - 1e-9]
-    # ties prefer fewer peaks, then the earlier seed (stable order)
-    _, best = min(near, key=lambda ir: (_peak_count(ir[1].branch), ir[0]))
+    near = [(k, r) for k, r in converged if r.entropy_S >= top - 1e-9]
+    # ties prefer fewer peaks, then the lower seed index
+    _, best = min(near, key=lambda kr: (_peak_count(kr[1].branch), kr[0]))
     return replace(best, profile=align_peak(best.profile), candidates=summaries)
 
 

@@ -6,9 +6,12 @@ module certifies that the curve point is achievable from both sides (three
 closed-form test profiles), computes the convexity-gap constant c of the
 shifted binary entropy and the spectral radius sigma of the scaled kernel,
 and scans S across the curve to verify the slope bound c / sigma.  Each
-scan point is one solve_entropy call on a shared kernel: the k-bump seed
-family, each seed taken through the single Newton-KKT path, run in order
-(on the curve the constant seed alone).
+scan point is one solve_entropy call on a shared kernel, each seed taken
+through the single Newton-KKT path.  The kernel spectrum lambda_k picks the
+seeds: on the curve the constant seed alone (Jensen stop), off it the k-bump
+seeds whose lambda_k has the sign of the offset, and the rest of the family
+only if none of those converges.  The same spectrum gives the one-sided
+slopes in closed form, which the scan sets beside its secant estimates.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .potential import CONSTANT, POWER_PLATEAU, KernelMatrix, Potential, cell_ke
 from .solver import solve_entropy
 
 KINK_SLACK = 1e-4  # tolerance of the scan's entropy-drop check
+SUPERCRITICAL_TOL = 5e-3  # closed-form against extrapolated slopes
 
 
 class UnscannableCurve(ValueError):
@@ -73,6 +77,11 @@ class TransitionScan:
     S_curve: float
     kink_ok: bool
     within_hypotheses: bool
+    spectral_left: float
+    spectral_right: float
+    k_below: int
+    k_above: int
+    supercritical: bool
     points: list[ScanPoint] = field(default_factory=list)
 
 
@@ -137,9 +146,27 @@ def spectral_radius(K: KernelMatrix) -> float:
 
     The eigenvalues of a circulant matrix are the discrete Fourier transform
     of its first row (Gray, Toeplitz and Circulant Matrices: A Review, 2006),
-    so the kernel gives max |rfft(row)| / m without building the dense table.
+    so the kernel gives max |rfft(row)| / m without building the dense table;
+    the eigenvalues are the kernel's cached spectrum.
     """
-    return float(np.max(np.abs(np.fft.rfft(K.row)))) / K.m
+    return float(np.max(np.abs(K.spectrum)))
+
+
+def spectral_slopes(K: KernelMatrix, rho: float) -> tuple[float, float, int, int]:
+    """Closed-form one-sided kink slopes at density rho: (left, right, k_below, k_above).
+
+    A branch that leaves the constant in mode k with amplitude eps moves xi by
+    eps^2 lambda_k and S by -eps^2 / (2 rho (1 - rho)), to second order.  So
+    below the curve the slope is 1 / (2 rho (1 - rho) |lambda_min|) and above
+    it -1 / (2 rho (1 - rho) lambda_max), over the modes k >= 1, which
+    k_below and k_above name; a side with no eigenvalue of its sign reads nan.
+    These are the slopes of a supercritical (continuous) bifurcation.
+    """
+    lam = K.spectrum[1:]
+    lo, hi, curv = float(lam.min()), float(lam.max()), 2.0 * rho * (1.0 - rho)
+    left = 1.0 / (curv * abs(lo)) if lo < 0.0 else math.nan
+    right = -1.0 / (curv * hi) if hi > 0.0 else math.nan
+    return left, right, int(np.argmin(lam)) + 1, int(np.argmax(lam)) + 1
 
 
 def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> TransitionScan:
@@ -151,7 +178,10 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> Transit
     and checks the entropy-drop bound S - S_curve <= -(c/sigma) |dxi| + KINK_SLACK
     on every converged point.  kink_ok holds only when the curve point and at
     least one point on each side converged and every drop meets the bound.
-    Failed solves become failure markers, not exceptions.
+    Failed solves become failure markers, not exceptions.  spectral_left,
+    spectral_right, k_below and k_above are spectral_slopes; supercritical
+    holds when both closed-form slopes lie within SUPERCRITICAL_TOL of the
+    extrapolated ones.
     """
     if pot.kind == CONSTANT:
         raise UnscannableCurve(
@@ -195,6 +225,7 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> Transit
         p.S + h_rho <= -bound * abs(p.xi_actual - xi0) + KINK_SLACK for p in left + right)
     left_slope = _one_sided_slope(S_curve, xi0, left[::-1]) if curve_pt.converged else math.nan
     right_slope = _one_sided_slope(S_curve, xi0, right) if curve_pt.converged else math.nan
+    spec_left, spec_right, k_below, k_above = spectral_slopes(K, rho)
 
     return TransitionScan(
         rho=rho, lam=lam,
@@ -202,6 +233,9 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> Transit
         kink_lower_bound=bound, c=c, sigma=sigma,
         S_curve=S_curve, kink_ok=kink_ok,
         within_hypotheses=bool(pot.kind == POWER_PLATEAU and pot.r < 0.5),
+        spectral_left=spec_left, spectral_right=spec_right, k_below=k_below, k_above=k_above,
+        supercritical=bool(abs(spec_left - left_slope) <= SUPERCRITICAL_TOL
+                           and abs(spec_right - right_slope) <= SUPERCRITICAL_TOL),
         points=points)
 
 

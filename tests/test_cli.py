@@ -92,6 +92,10 @@ class TestScan:
         summary = json.loads((out / "scan_summary.json").read_text())
         assert summary["kink_ok"] is True
         assert summary["schema_version"] == 1
+        # the closed-form slopes of the kernel spectrum ride along in the record
+        assert (summary["k_below"], summary["k_above"]) == (1, 3)
+        assert summary["spectral_left"] > 0.0 > summary["spectral_right"]
+        assert isinstance(summary["supercritical"], bool)
 
 
 class TestSampleAndEnumerate:
@@ -400,6 +404,8 @@ class TestJsonRecords:
         solve = records["solve_result.json"]
         assert set(solve["profile"]) == {"m", "values"} and len(solve["profile"]["values"]) == 64
         assert set(solve["multipliers"]) == {"beta", "mu"}
+        # each candidate names its seed: the family index k of the default seeds
+        assert all(c["seed"] in range(7) for c in solve["candidates"])
         stats = records["mcmc_stats.json"]
         assert stats["state_counts"] is None and len(stats["mean_profile"]["values"]) == 32
         scan = records["scan_summary.json"]

@@ -73,6 +73,14 @@ class TestEvalPsi:
         pot = lg.Potential.tabulated([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
         assert lg.eval_psi(pot, 0.25) == pytest.approx(0.5)
 
+    def test_tabulated_knots_past_half_are_folded_away(self):
+        # psi is read at the torus distance, so only the knots' graph on [0, 1/2] counts
+        pot = lg.Potential.tabulated([(0.0, 1.0), (1.0, 3.0)])
+        assert lg.eval_psi(pot, 0.9) == lg.eval_psi(pot, 0.1) == pytest.approx(1.2, abs=1e-15)
+        far = lg.Potential.tabulated([(0.0, 1.0), (0.5, 2.0), (0.9, 100.0)])
+        near = lg.Potential.tabulated([(0.0, 1.0), (0.5, 2.0)])
+        assert lg.integrated_interaction(far) == lg.integrated_interaction(near) == 1.5
+
 
 class TestIntegratedInteraction:
     def test_closed_form_vs_quadrature(self, pot_a2):

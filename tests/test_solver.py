@@ -15,6 +15,20 @@ RHO = 0.23
 XI_CURVE = 7.0 * RHO * RHO
 
 
+# the whole default family, each seed run in family order: the per-seed
+# behaviour that the spectral pick of solve_entropy skips off the curve
+@pytest.fixture(scope="module")
+def family_below(pot_a2, kernel256):
+    return lg.solve_entropy(pot_a2, XI_CURVE - 0.02, RHO, m=256, kernel=kernel256,
+                            seeds=lg.default_seeds(256, RHO))
+
+
+@pytest.fixture(scope="module")
+def family_above(pot_a2, kernel256):
+    return lg.solve_entropy(pot_a2, XI_CURVE + 0.02, RHO, m=256, kernel=kernel256,
+                            seeds=lg.default_seeds(256, RHO))
+
+
 class TestSolveMultipliers:
     def test_on_curve_constant_seed(self, kernel256):
         res = lg.solve_multipliers(kernel256, XI_CURVE, RHO,
@@ -94,23 +108,36 @@ class TestSolveEntropy:
         out = lg.align_peak(lg.make_profile(v)).values
         np.testing.assert_array_equal(out, np.roll(v, 4 - peak))
 
-    def test_candidates_reported(self, solve_above):
-        cands = solve_above.candidates
-        assert len(cands) == len(lg.default_seeds(256, RHO))
+    def test_candidates_reported(self, family_above):
+        cands = family_above.candidates
+        assert [c["seed"] for c in cands] == list(range(len(lg.default_seeds(256, RHO))))
         assert all("branch" in c and "entropy_S" in c for c in cands)
-        assert solve_above.entropy_S == max(c["entropy_S"] for c in cands if c["converged"])
+        assert family_above.entropy_S == max(c["entropy_S"] for c in cands if c["converged"])
+
+    def test_spectral_seeds_run(self, pot_a2, kernel256, solve_below, solve_above):
+        # at m = 256 lambda_1 and lambda_5 are negative, lambda_2, 3, 4 and 6 positive:
+        # below the curve the seeds k = 1, 5 run, above it k = 2, 3, 4, 6
+        lam = kernel256.spectrum
+        assert [k for k in range(1, 7) if lam[k] < 0.0] == [1, 5]
+        assert [c["seed"] for c in solve_below.candidates] == [1, 5]
+        assert [c["seed"] for c in solve_above.candidates] == [2, 3, 4, 6]
+        assert solve_below.stop == solve_above.stop == "tolerance"
+        # on 5 cells the seeds k = 4 and 6 excite mode 1, and k = 3 mode 2
+        K5 = lg.cell_kernel(pot_a2, 5)
+        assert solver.spectral_seeds(K5, XI_CURVE - 0.02, RHO, 7) == [1, 4, 6]
+        assert solver.spectral_seeds(K5, XI_CURVE + 0.02, RHO, 7) == [2, 3, 5]
 
     def test_jensen_stop_on_curve(self, solve_on_curve):
         # the constant seed comes first and converges: no other seed runs
         assert len(solve_on_curve.candidates) == 1
         assert solve_on_curve.candidates[0]["branch"] == "constant"
 
-    def test_stop_reasons(self, solve_below, solve_above):
+    def test_stop_reasons(self, family_below, family_above):
         # the k = 3 seed below the curve and the k = 1 seed above it collapse
         # towards the infeasible constant; every converged seed ends at tolerance
-        for res, stalled in ((solve_below, 3), (solve_above, 1)):
-            stops = [c["stop"] for c in res.candidates]
-            assert stops[stalled] == "stalled"  # seed k is candidate k
+        for res, stalled in ((family_below, 3), (family_above, 1)):
+            stops = {c["seed"]: c["stop"] for c in res.candidates}
+            assert stops[stalled] == "stalled"
             assert all(c["stop"] == "tolerance" for c in res.candidates if c["converged"])
             assert res.stop == "tolerance"
 
@@ -166,8 +193,9 @@ DELTAS = [-0.02, -0.01, -0.005, 0.005, 0.01, 0.02]
 @pytest.mark.parametrize("rho", sorted(CONVERGED_SEEDS))
 def test_converged_seeds(pot_a2, kernel256, rho):
     flags = ["".join("1" if c["converged"] else "0" for c in
-                     lg.solve_entropy(pot_a2, 7.0 * rho * rho + d, rho, m=256,
-                                      kernel=kernel256).candidates) for d in DELTAS]
+                     lg.solve_entropy(pot_a2, 7.0 * rho * rho + d, rho, m=256, kernel=kernel256,
+                                      seeds=lg.default_seeds(256, rho)).candidates)
+             for d in DELTAS]
     assert flags == CONVERGED_SEEDS[rho]
 
 
@@ -183,13 +211,70 @@ ODD_GRID_CANDIDATES = {
 
 @pytest.mark.parametrize("dxi", sorted(ODD_GRID_CANDIDATES))
 def test_odd_grid(pot_a2, dxi):
-    res = lg.solve_entropy(pot_a2, XI_CURVE + dxi, RHO, m=129)
-    got = [(i, c["branch"], c["entropy_S"]) for i, c in enumerate(res.candidates) if c["converged"]]
+    res = lg.solve_entropy(pot_a2, XI_CURVE + dxi, RHO, m=129, seeds=lg.default_seeds(129, RHO))
+    got = [(c["seed"], c["branch"], c["entropy_S"]) for c in res.candidates if c["converged"]]
     want = ODD_GRID_CANDIDATES[dxi]
     assert [g[:2] for g in got] == [w[:2] for w in want]
     np.testing.assert_allclose([g[2] for g in got], [w[2] for w in want], rtol=0, atol=1e-10)
     assert res.certificate["morse_index"] == 0
     assert res.certificate["odd_inertia"] == (63, 0, 1)  # m - h = 64 mirrored cells
+
+
+def assert_same_winner(a, b):
+    assert a.profile.values.tobytes() == b.profile.values.tobytes()
+    assert (a.entropy_S, a.branch, a.converged, a.multipliers, a.residuals, a.stop) == \
+        (b.entropy_S, b.branch, b.converged, b.multipliers, b.residuals, b.stop)
+
+
+@pytest.mark.parametrize("m,rho,dxi", [(256, rho, dxi) for rho, dxi, _, _ in REGRESSION_TABLE]
+                         + [(129, RHO, dxi) for dxi in sorted(ODD_GRID_CANDIDATES)]
+                         + [(m, RHO, dxi) for m in (5, 8) for dxi in (-0.02, 0.02)])
+def test_spectral_seeds_keep_the_winner(pot_a2, m, rho, dxi):
+    # the seeds the spectrum picks find the full family's winner, bit for bit; on
+    # coarse grids the seeds k > m/2 excite the folded modes |k mod m| <= m/2
+    K = lg.cell_kernel(pot_a2, m)
+    xi_t = 7.0 * rho * rho + dxi
+    spectral = lg.solve_entropy(pot_a2, xi_t, rho, m=m, kernel=K)
+    family = lg.solve_entropy(pot_a2, xi_t, rho, m=m, kernel=K, seeds=lg.default_seeds(m, rho))
+    assert len(spectral.candidates) < len(family.candidates)
+    assert_same_winner(spectral, family)
+
+
+@pytest.mark.parametrize("pot,dxi,spectral", [
+    # far above the curve: the seeds k = 2, 3, 4, 6 run and all fail
+    (lg.Potential.power_plateau(0.5, 10.0), 2.6, [2, 3, 4, 6]),
+    # lambda_k > 0 for every k >= 1, so nothing lies below the curve
+    (lg.Potential.power_plateau(0.7, 2.0), -0.02, []),
+])
+def test_spectral_fallback_runs_the_family(pot, dxi, spectral):
+    K = lg.cell_kernel(pot, 64)
+    xi_t = K.spectrum[0] * RHO * RHO + dxi
+    assert solver.spectral_seeds(K, xi_t, RHO, 7) == spectral
+    res = lg.solve_entropy(pot, xi_t, RHO, m=64, kernel=K)
+    family = lg.solve_entropy(pot, xi_t, RHO, m=64, kernel=K, seeds=lg.default_seeds(64, RHO))
+    # the spectral seeds first, then the rest of the family in family order
+    rest = [k for k in range(7) if k not in spectral]
+    assert [c["seed"] for c in res.candidates] == spectral + rest
+    assert not res.converged
+    assert_same_winner(res, family)
+    by_seed = sorted(res.candidates, key=lambda c: c["seed"])
+    assert [c["stop"] for c in by_seed] == [c["stop"] for c in family.candidates]
+
+
+@pytest.mark.parametrize("order", [[1, 3], [3, 1]])
+def test_tie_rule_reads_the_seed_index(monkeypatch, order):
+    # at r = 0.3 the seeds k = 1 and 3 both reach the three-bump optimizer, S equal to
+    # 2e-12: the lower seed index wins, in whichever order the seeds ran
+    pot = lg.Potential.power_plateau(0.3, 10.0)
+    K = lg.cell_kernel(pot, 64)
+    xi_t = K.spectrum[0] * 0.4 ** 2 + 0.005 * K.spectrum[0]
+    family = lg.solve_entropy(pot, xi_t, 0.4, m=64, kernel=K, seeds=lg.default_seeds(64, 0.4))
+    monkeypatch.setattr(solver, "spectral_seeds", lambda *args: order)
+    res = lg.solve_entropy(pot, xi_t, 0.4, m=64, kernel=K)
+    assert [c["seed"] for c in res.candidates] == order
+    assert {c["branch"] for c in res.candidates} == {"multimodal(3)"}
+    assert res.entropy_S != res.candidates[order.index(3)]["entropy_S"]
+    assert_same_winner(res, family)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -329,16 +414,16 @@ class TestOptimizerInvariants:
         assert int(zero.sum()) == 1
         assert np.all(eig[~zero] > 0.0)
 
-    def test_loser_certificates(self, solve_above):
+    def test_loser_certificates(self, family_above):
         # above the curve the losing k-bump candidates are saddles: negative
         # eigenvalues of the even KKT block plus those of the odd block
         negative = {c["branch"]: (c["certificate"]["even_inertia"][1],
                                   c["certificate"]["odd_inertia"][1])
-                    for c in solve_above.candidates if c["converged"]}
+                    for c in family_above.candidates if c["converged"]}
         assert negative == {"multimodal(2)": (3, 1), "multimodal(3)": (2, 0),
                             "multimodal(4)": (5, 3), "multimodal(6)": (6, 4),
                             "multimodal(10)": (10, 7)}
-        assert all(c["certificate"] is None for c in solve_above.candidates
+        assert all(c["certificate"] is None for c in family_above.candidates
                    if not c["converged"])
 
     def test_degenerate_certificate_on_curve(self, solve_on_curve):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 import latgas as lg
-from latgas import cli, transition
+from latgas import cli, solver, transition
 from latgas.potential import KernelMatrix
 
 RHO = 0.23
@@ -104,6 +104,23 @@ class TestSpectralRadius:
         K = KernelMatrix(m=m, row=row)
         assert lg.spectral_radius(K) == pytest.approx(1.0, rel=1e-10)
 
+    @pytest.mark.parametrize("m", [2, 3, 64, 129, 255, 256, 257, 1024])
+    def test_reads_the_cached_spectrum(self, pot_a2, m):
+        # sigma is bitwise the largest |rfft(row)| / m; the spectrum cannot be written
+        K = lg.cell_kernel(pot_a2, m)
+        assert lg.spectral_radius(K) == float(np.max(np.abs(np.fft.rfft(K.row)))) / m
+        assert K.spectrum.shape == (m // 2 + 1,)
+        np.testing.assert_array_equal(K.spectrum, np.fft.rfft(K.row).real / m)
+        with pytest.raises(ValueError, match="read-only"):
+            K.spectrum[0] = 0.0
+        assert K.spectrum is K.spectrum
+
+    def test_lambda_0_is_the_integrated_interaction(self, pot_a2):
+        for m in (256, 512, 1024):
+            assert lg.cell_kernel(pot_a2, m).spectrum[0] == lg.integrated_interaction(pot_a2)
+        for m in (255, 257):
+            assert abs(lg.cell_kernel(pot_a2, m).spectrum[0] - 7.0) < 1e-13
+
     def test_scaling_homogeneity(self, pot_a2):
         K = lg.cell_kernel(pot_a2, 128)
         K2 = KernelMatrix(m=128, row=2.0 * K.row)
@@ -149,6 +166,29 @@ class TestScanTransition:
         assert scan_023.points[mid].branch == "constant"
         assert all(p.branch == "unimodal" for p in scan_023.points[:mid])
         assert all(p.branch.startswith("multimodal") for p in scan_023.points[mid + 1:])
+
+    @pytest.mark.parametrize("rho", [0.18, 0.20, 0.23, 0.25])
+    def test_closed_form_slopes(self, pot_a2, rho):
+        # the spectrum's one-sided slopes agree with the extrapolated secants,
+        # and the winners have k_below bumps below the curve and k_above above it
+        scan = lg.scan_transition(pot_a2, rho, [0.005, 0.01, 0.02], m=256)
+        assert (scan.k_below, scan.k_above) == (1, 3)
+        assert abs(scan.spectral_left - scan.left_slope) <= 5e-3
+        assert abs(scan.spectral_right - scan.right_slope) <= 5e-3
+        assert scan.supercritical is True
+        mid = len(scan.points) // 2
+        assert {solver._peak_count(p.branch) for p in scan.points[:mid]} == {scan.k_below}
+        assert {solver._peak_count(p.branch) for p in scan.points[mid + 1:]} == {scan.k_above}
+
+    def test_closed_form_slopes_reference(self, scan_023):
+        assert scan_023.spectral_left == pytest.approx(1.73929, abs=1e-5)
+        assert scan_023.spectral_right == pytest.approx(-1.97275, abs=1e-5)
+
+    def test_closed_form_slope_needs_a_mode_of_its_sign(self):
+        # every lambda_k > 0: no branch leaves the constant below the curve
+        K = lg.cell_kernel(lg.Potential.power_plateau(0.7, 2.0), 64)
+        left, right, _, k_above = transition.spectral_slopes(K, RHO)
+        assert math.isnan(left) and right < 0.0 and k_above == 1
 
     def test_constant_interaction_refused(self):
         with pytest.raises(ValueError):
