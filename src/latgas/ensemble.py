@@ -11,7 +11,7 @@ accepts exactly when the energy stays in its window; symmetric proposals with
 indicator acceptance make the stationary law uniform on the constrained slice.
 Each visited state is aligned once, by a correlation that each accepted swap
 updates in O(n) without an FFT.  The move loop runs on Python scalars, with
-swap indices drawn in blocks that replay numpy's bounded draws bit for bit.
+swap indices drawn in blocks, each by one broadcast `Generator.integers` call.
 """
 
 from __future__ import annotations
@@ -59,6 +59,14 @@ class EnsembleWindow:
 
 @dataclass
 class McmcStats:
+    """One `mcmc_sample` run: its n, chains, steps and seed; the particle number
+    k = round(rho n); proposals = chains * steps; accepted_moves, the accepted swaps,
+    acceptance_rate = accepted_moves / proposals and each chain's chain_acceptance;
+    the merged, aligned post-burn-in mean_profile; energy_trace_summary, the (mean,
+    min, max) of E / n^2 after burn-in; stuck_warning, set when a chain met n
+    rejections in a row; the bit generator's rng_name; and, with track_states,
+    state_counts: post-burn-in visits, every track_every steps, by state bit mask."""
+
     n: int
     chains: int
     steps: int
@@ -130,17 +138,19 @@ def _aligned(values: np.ndarray, width: int, spectrum: np.ndarray) -> np.ndarray
     return np.roll(values, int(np.argmax(corr)))
 
 
-def _fold(profile: np.ndarray, occ: np.ndarray, occ_idx: np.ndarray, dwell: int,
-          corr: np.ndarray | None, width: int, spectrum: np.ndarray | None) -> None:
-    """Add dwell copies of the state occ to profile, aligned by the argmax of corr."""
+def _fold(profile: np.ndarray, occ_idx: np.ndarray, dwell: int, corr: np.ndarray | None,
+          width: int, spectrum: np.ndarray | None) -> None:
+    """Add dwell copies of the state occupying occ_idx to profile, aligned by argmax corr."""
     if corr is None:
         profile[occ_idx] += dwell
         return
     shift = int(np.argmax(corr))
-    if np.count_nonzero(corr >= (1.0 - TIE_MARGIN) * corr[shift]) > 1:
-        profile += dwell * _aligned(occ.astype(float), width, spectrum)  # too close to call
+    if np.count_nonzero(corr >= (1.0 - TIE_MARGIN) * corr[shift]) > 1:  # too close to call
+        occ = np.zeros(profile.size)
+        occ[occ_idx] = 1.0
+        profile += dwell * _aligned(occ, width, spectrum)
     else:
-        profile[occ_idx + (shift - occ.size)] += dwell  # negative indices wrap around
+        profile[occ_idx + (shift - profile.size)] += dwell  # negative indices wrap around
 
 
 def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
@@ -155,10 +165,10 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     after the burn-in fraction BURN_IN are circularly aligned before averaging
     when an init profile pins the frame, by the shift that best correlates the
     sample, smoothed over max(3, n // 16) cells, with the smoothed template.
-    Swap indices come DRAW_CHUNK proposals at a time from `_swap_draws`, which
-    replays `rng.integers` on raw words and falls back to scalar calls where
-    numpy would reject a draw, so chains are bitwise those of per-proposal
-    calls; the move loop then reads the pair row and s on Python scalars.
+    Swap indices come DRAW_CHUNK proposals at a time from one broadcast call
+    rng.integers(0, (k, n - k), size=(count, 2)), which draws each element as a
+    scalar rng.integers(k) or rng.integers(n - k) would, in C order, so chains
+    are bitwise those of per-proposal calls; the move loop reads Python scalars.
     Each visited state is aligned once and added with its dwell count.  As
     smoothing is linear, an accepted swap moves that correlation by two
     shifted copies of the twice-smoothed template, in O(n); a state whose best
@@ -168,8 +178,8 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     artificial lump; the collective pattern drifts slowly enough that
     unaligned chain means stay sharp), and chain means are re-aligned onto
     each other before merging.  The mean profile is finally rolled so its
-    peak sits at the center cell.  A full sweep with zero acceptances sets a
-    stuck-chain warning in the stats.
+    peak sits at the center cell.  A chain that meets n rejections in a row
+    sets the stats' stuck_warning.
     """
     if steps < 1 or chains < 1:
         raise ValueError("steps and chains must be at least 1")
@@ -198,12 +208,9 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
         raise ValueError("track_every must be at least 1")
     state_counts: dict[int, int] | None = {} if track_states else None
 
-    chain_accepted = []
-    e_sum = 0.0
-    e_min = math.inf
-    e_max = -math.inf
+    chain_accepted, chain_means = [], []
+    e_sum, e_min, e_max = 0.0, math.inf, -math.inf
     stuck = False
-    chain_means = []
 
     for chain_idx in range(chains):
         accepted = 0
@@ -217,19 +224,17 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
         dwell = 0  # post-burn steps the current state has held
         rejects_in_row = 0
         for t0 in range(0, steps, DRAW_CHUNK):
-            draws = _swap_draws(rng, k, n - k, min(DRAW_CHUNK, steps - t0))
+            draws = rng.integers(0, (k, n - k), size=(min(DRAW_CHUNK, steps - t0), 2)).T.tolist()
             for t, a, b in zip(range(t0, steps), *draws):
                 i = occ_list[a]
                 j = emp_list[b]
                 E_new = E + (-2.0 * s.item(i) + diag + 2.0 * (s.item(j) - row[abs(i - j)]) + diag)
                 if lo < E_new < hi:
                     if dwell:
-                        _fold(chain_profile, occ, occ_idx, dwell, corr, width, template)
+                        _fold(chain_profile, occ_idx, dwell, corr, width, template)
                         dwell = 0
                     occ_list[a] = occ_idx[a] = j
                     emp_list[b] = i
-                    occ[i] = False
-                    occ[j] = True
                     s += psi[j] - psi[i]
                     if corr is not None:
                         corr += G2[j:j + n]
@@ -251,7 +256,7 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
                     e_max = max(e_max, e_density)
                     if state_counts is not None and (t - burn) % track_every == 0:
                         state_counts[key] = state_counts.get(key, 0) + 1
-        _fold(chain_profile, occ, occ_idx, dwell, corr, width, template)
+        _fold(chain_profile, occ_idx, dwell, corr, width, template)
         chain_means.append(chain_profile / (steps - burn))
         chain_accepted.append(accepted)
 
@@ -276,36 +281,6 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
         state_counts=state_counts,
         chain_acceptance=tuple(a / steps for a in chain_accepted),
     )
-
-
-def _swap_draws(rng: np.random.Generator, k: int, m: int, count: int) -> list[list[int]]:
-    """The next count values of alternating rng.integers(k), rng.integers(m) (bounds
-    up to 2^32), as two lists: numpy's bounded draw (Lemire's method) replayed on
-    one `random_raw` block.  A bound b > 1 takes the next 32-bit word w (a pending
-    half word, then each raw word's low half before its high half) and yields
-    (w b) >> 32; bound 1 takes none and yields 0.  If numpy would reject a draw,
-    (w b) mod 2^32 < (2^32 - b) mod b, the block is redrawn by scalar calls."""
-    bounds = np.array([bd for bd in (k, m) if bd > 1], dtype=np.uint64)
-    if not bounds.size:
-        return [[0] * count, [0] * count]
-    need = count * bounds.size
-    bg = rng.bit_generator
-    saved = bg.state
-    pending = saved["has_uint32"]
-    raw = bg.random_raw((need - pending + 1) // 2)
-    words = np.empty(2 * raw.size + pending, dtype=np.uint64)
-    words[:pending] = saved["uinteger"]
-    words[pending:] = raw.astype("<u8", copy=False).view("<u4")  # low half first
-    state = bg.state
-    state["has_uint32"], state["uinteger"] = int(words.size > need), int(words[-1])
-    bg.state = state
-    scaled = words[:need].reshape(count, bounds.size) * bounds
-    if ((scaled & 0xFFFFFFFF) < (2 ** 32 - bounds) % bounds).any():
-        bg.state = saved
-        pairs = [(int(rng.integers(k)), int(rng.integers(m))) for _ in range(count)]
-        return [list(column) for column in zip(*pairs)]
-    columns = iter((scaled >> 32).T.tolist())
-    return [next(columns) if bd > 1 else [0] * count for bd in (k, m)]
 
 
 def _initial_config(n: int, k: int, init_values: np.ndarray | None,

@@ -125,9 +125,12 @@ class KernelMatrix:
         The circulant table is diagonal in the Fourier basis, so lambda_k is the
         eigenvalue of (1/m) K on the modes cos and sin(2 pi k x); lambda_0 is the
         grid's integrated interaction, the energy of the constant profile is
-        lambda_0 rho^2.
+        lambda_0 rho^2.  An eigenvalue within rounding of zero, |lambda_k| <=
+        1e-12 mean|row|, is stored as 0.0: it has no sign.
         """
         lam = np.fft.rfft(self.row).real / self.m
+        # the rfft rounds lambda_k by about eps log2(m) mean|row|; such noise has no sign
+        lam[np.abs(lam) <= 1e-12 * np.abs(self.row).mean()] = 0.0
         lam.flags.writeable = False
         return lam
 

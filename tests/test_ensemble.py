@@ -431,16 +431,6 @@ class TestMcmc:
             lg.mcmc_sample(32, pot_a2, window, steps=steps, chains=chains, rng_seed=1)
 
 
-class CountingGenerator(np.random.Generator):
-    """A Generator that counts its scalar `integers` calls."""
-
-    calls = 0
-
-    def integers(self, *args, **kwargs):
-        self.calls += 1
-        return super().integers(*args, **kwargs)
-
-
 def bit_state(rng):
     st = rng.bit_generator.state
     return (st["state"]["counter"].tolist(), st["state"]["key"].tolist(), st["buffer"].tolist(),
@@ -453,48 +443,36 @@ def scalar_draws(rng, k, m, count):
 
 
 class TestSwapDraws:
-    """`_swap_draws` against scalar `Generator.integers` calls on a fresh Philox.
+    """The sampler's broadcast draw against scalar `Generator.integers` calls on a
+    fresh Philox.
 
-    These pin the replay of numpy's bounded-integer algorithm: if numpy changes
-    it, these fail instead of the sampler's chains changing silently.
+    These pin the numpy property the sampler relies on: rng.integers(0, (k, m),
+    size=(count, 2)) draws its elements in C order, each as a scalar call with
+    that bound would.  If numpy changes that, these fail instead of the
+    sampler's chains changing silently.
     """
 
     @pytest.mark.parametrize("pending", [False, True], ids=["aligned", "half-word-pending"])
     @pytest.mark.parametrize("count", [1, 2, 3, 4096])
     # the sampler's bounds at n = 8 and n = 512; bound 1, which takes no word, so
-    # that odd counts leave a half word pending; and the largest 32-bit bounds
+    # that odd counts leave a half word pending; the largest 32-bit bounds; and
+    # 2^31 + 1, for which numpy rejects about half of all draws
     @pytest.mark.parametrize("k,m", [(2, 6), (118, 394), (1, 7), (7, 1), (1, 1),
-                                     (2 ** 32 - 1, 2 ** 32)])
+                                     (2 ** 32 - 1, 2 ** 32), (2 ** 31 + 1, 6)])
     def test_matches_scalar_draws(self, k, m, count, pending):
         for seed in range(5):
-            fast = CountingGenerator(np.random.Philox(seed))
+            fast = np.random.Generator(np.random.Philox(seed))
             slow = np.random.Generator(np.random.Philox(seed))
             if pending:  # one 32-bit draw leaves the high half of a raw word pending
                 assert fast.integers(3) == slow.integers(3)
-                fast.calls = 0
                 assert fast.bit_generator.state["has_uint32"] == 1
-            draws = ensemble._swap_draws(fast, k, m, count)
+            draws = fast.integers(0, (k, m), size=(count, 2)).T.tolist()
             assert draws == scalar_draws(slow, k, m, count)
             assert all(type(v) is int for column in draws for v in column)
-            assert fast.calls == 0  # no rejection here: the block path made every draw
             # the stream continues where scalar draws leave it, pending half word and all
             assert bit_state(fast) == bit_state(slow)
             assert fast.integers(1000, size=5).tolist() == slow.integers(1000, size=5).tolist()
             assert fast.random() == slow.random()
-
-    @pytest.mark.parametrize("pending", [False, True], ids=["aligned", "half-word-pending"])
-    def test_rejection_replays_the_block_with_scalar_draws(self, pending):
-        # about half of all draws with bound 2^31 + 1 are rejected by numpy
-        bound = 2 ** 31 + 1
-        fast = CountingGenerator(np.random.Philox(7))
-        slow = np.random.Generator(np.random.Philox(7))
-        if pending:
-            assert fast.integers(3) == slow.integers(3)
-            fast.calls = 0
-        assert ensemble._swap_draws(fast, bound, 6, 50) == scalar_draws(slow, bound, 6, 50)
-        assert fast.calls == 100  # the block was redrawn by scalar calls
-        assert bit_state(fast) == bit_state(slow)
-        assert fast.integers(1000, size=5).tolist() == slow.integers(1000, size=5).tolist()
 
 
 class TestCompareProfile:

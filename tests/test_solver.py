@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 import latgas as lg
-from latgas import cli, solver
+from latgas import cli, solver, transition
 
 RHO = 0.23
 XI_CURVE = 7.0 * RHO * RHO
@@ -245,11 +245,16 @@ def test_spectral_seeds_keep_the_winner(pot_a2, m, rho, dxi):
     (lg.Potential.power_plateau(0.5, 10.0), 2.6, [2, 3, 4, 6]),
     # lambda_k > 0 for every k >= 1, so nothing lies below the curve
     (lg.Potential.power_plateau(0.7, 2.0), -0.02, []),
+    # lambda_k >= 0: the even k read 0 where the rfft leaves -1.7e-18 of rounding
+    (lg.Potential.tabulated([(0, 1), (0.5, 0)]), -0.02, []),
 ])
 def test_spectral_fallback_runs_the_family(pot, dxi, spectral):
     K = lg.cell_kernel(pot, 64)
     xi_t = K.spectrum[0] * RHO * RHO + dxi
     assert solver.spectral_seeds(K, xi_t, RHO, 7) == spectral
+    # the closed-form slope on the target's side is nan exactly when no seed is spectral
+    slope = transition.spectral_slopes(K, RHO)[0 if dxi < 0 else 1]
+    assert np.isnan(slope) == (not spectral)
     res = lg.solve_entropy(pot, xi_t, RHO, m=64, kernel=K)
     family = lg.solve_entropy(pot, xi_t, RHO, m=64, kernel=K, seeds=lg.default_seeds(64, RHO))
     # the spectral seeds first, then the rest of the family in family order
