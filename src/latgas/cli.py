@@ -187,8 +187,6 @@ def cmd_solve(args, pot, grid, xi, rho) -> int:
 
 def cmd_scan(args, pot, grid, rho, deltas) -> int:
     deltas = [float(tok) for tok in deltas.split(",") if tok.strip()]
-    if not deltas:
-        raise ConfigError("scan needs a nonempty comma-separated delta list")
     scan = transition.scan_transition(pot, rho, deltas, m=grid)
     (args.out / "scan.csv").write_text(functional.csv_text(
         "xi,S,branch,beta,mu,converged",

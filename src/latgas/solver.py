@@ -16,12 +16,10 @@ solve already holds; a converged one carries a second-order certificate, the
 inertias of the even and the odd block of its KKT matrix.  solve_entropy runs
 that path from the k-bump seed family (constant plus cos(2 pi k x),
 k = 1..6) and keeps the candidate of maximal entropy.  The kernel spectrum
-picks the seeds: near the constant a mode-k perturbation of amplitude eps
-moves xi by about eps^2 lambda_k, so off the curve only the seeds whose
-lambda_k has the sign of xi - lambda_0 rho^2 run, and the rest of the family
-only if none of them converges.  On the curve the whole family runs, the
-constant first; a seed that converges to the constant ends the multistart
-(Jensen stop, see solve_entropy).
+picks the seeds (spectral_seeds): near the constant a mode-k perturbation of
+amplitude eps moves xi by about eps^2 lambda_k, so on the curve the constant
+runs alone first, off it the seeds whose lambda_k has the sign of
+xi - lambda_0 rho^2, and where no lambda_k has that sign the constant alone.
 """
 
 from __future__ import annotations
@@ -243,61 +241,58 @@ def solve_multipliers(K: KernelMatrix, target_xi: float, target_rho: float, seed
 
 
 def default_seeds(m: int, rho: float):
-    """The constant profile and rho (1 + cos(2 pi k x) / 2) for k = 1..6.
+    """The constant profile rho and rho (1 + cos(2 pi k x) / 2) for k = 1..6.
 
     Seed k excites mode k, which moves xi off the curve by about
     eps^2 lambda_k: a k-bump branch lies on the side sign(lambda_k) of the
-    curve, so off the curve solve_entropy runs the seeds of that sign first
-    (spectral_seeds).  The constant comes first, so on the curve it ends the
-    multistart at once.  Values are clipped into (0, 1).
+    curve (spectral_seeds).  The k-bump seeds are clipped into
+    [1e-4, 1 - 1e-4]; the constant is not, so it keeps the density rho.
     """
     x = (np.arange(m) + 0.5) / m
-    raw = [np.full(m, rho)]
-    raw += [rho * (1.0 + 0.5 * np.cos(2.0 * np.pi * k * x)) for k in range(1, 7)]
-    return [make_profile(np.clip(v, 1e-4, 1.0 - 1e-4)) for v in raw]
+    bumps = [np.clip(rho * (1.0 + 0.5 * np.cos(2.0 * np.pi * k * x)), 1e-4, 1.0 - 1e-4)
+             for k in range(1, 7)]
+    return [make_profile(v) for v in [np.full(m, rho)] + bumps]
 
 
-def spectral_seeds(K: KernelMatrix, xi_target: float, rho: float, count: int) -> list[int]:
-    """Indices into the count default_seeds that solve_entropy runs first, in family order.
+def spectral_seeds(K: KernelMatrix, xi_target: float, rho: float, count: int) -> list[list[int]]:
+    """The batches of the count default_seeds that solve_entropy runs, in order.
 
-    On the curve, |xi - lambda_0 rho^2| <= CONSTRAINT_TOL max(1, |xi|), every
-    seed, the constant first.  Off it, the k-bump seeds whose eigenvalue
-    lambda_k (KernelMatrix.spectrum; mode k folded onto 0..m//2 on a coarse
-    grid) has the sign of xi - lambda_0 rho^2: a branch leaving the constant
-    in mode k moves xi by eps^2 lambda_k.
+    A branch leaving the constant in mode k moves xi by eps^2 lambda_k
+    (KernelMatrix.spectrum; mode k folded onto 0..m//2 on a coarse grid).  On
+    the curve, |xi - lambda_0 rho^2| <= CONSTRAINT_TOL max(1, |xi|), the
+    constant alone, then the k-bump seeds.  Off it, the k-bump seeds whose
+    lambda_k has the sign of xi - lambda_0 rho^2, then the rest of the family;
+    a seed with k % m == 0 is a constant profile on the grid and is never
+    picked.  If no lambda_k, k = 1..m//2, has that sign, xi(f) - lambda_0 N(f)^2
+    = sum_k lambda_k |f_k|^2 / m^2 has the other sign for every profile, so the
+    target is infeasible and the constant alone runs.
     """
     lam = K.spectrum
     dxi = xi_target - rho * rho * lam[0]
     if abs(dxi) <= CONSTRAINT_TOL * max(1.0, abs(xi_target)):
-        return list(range(count))
-    return [k for k in range(1, count) if lam[min(k % K.m, -k % K.m)] * dxi > 0.0]
+        return [[0], list(range(1, count))]
+    if not np.any(lam[1:] * dxi > 0.0):
+        return [[0]]
+    first = [k for k in range(1, count)
+             if k % K.m and lam[min(k % K.m, -k % K.m)] * dxi > 0.0]
+    return [first, [k for k in range(count) if k not in first]]
 
 
 def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT_GRID,
-                  seeds=None, kernel: KernelMatrix | None = None) -> SolveResult:
+                  kernel: KernelMatrix | None = None) -> SolveResult:
     """Multistart entropy maximization at fixed (xi, rho).
 
-    Runs solve_multipliers from the seeds and returns the converged candidate
-    of maximal entropy; ties within 1e-9 go to the profile with fewer peaks,
-    then to the lower seed index.  Given seeds run in their order and seed i
-    is their position.  Without them the seeds are default_seeds, seed k is
-    its family index (0 the constant), and spectral_seeds picks those that
-    run first: the whole family on the curve, else the k-bump seeds on the
-    target's side of it.  If none of these converges the rest of the family
-    runs in family order, so such a target gets the full multistart.  The
-    winner is circularly shifted by align_peak.  If every start fails the
-    result comes back with converged=False and the least-bad diagnostics
-    (ties to the lower seed index).
-
-    The seeds stop after the first one that converges to a profile
-    classified constant (Jensen stop).  No later seed can beat it: hbin is
-    convex, so every profile of density N has S <= -hbin(N); the converged
-    constant attains that bound, so another candidate can exceed it only by
-    the gap between the two density residuals, which the Newton tolerance
-    EL_TOL keeps far inside the 1e-9 tie window; and with 0 peaks the
-    constant wins every tie.  candidates summarizes the seeds that ran, in
-    the order they ran (one on the curve with the default seeds), each with
-    its seed index, stop and certificate.
+    Runs solve_multipliers from the default_seeds in the batches of
+    spectral_seeds; a batch runs only if no seed of an earlier one converged.
+    On the curve the constant attains the bound S <= -hbin(rho) that the
+    convexity of hbin puts on every profile, so once it converges no other
+    seed runs.  Each candidate's seed is its family index k (0 the constant).
+    The converged candidate of maximal entropy wins; ties within 1e-9 go to
+    the profile with fewer peaks, then to the lower seed index.  The winner is
+    circularly shifted by align_peak.  If every seed fails the result comes
+    back with converged=False and the least-bad diagnostics (ties to the lower
+    seed index).  candidates summarizes the seeds that ran, in the order they
+    ran, each with its seed index, stop and certificate.
 
     A given kernel saves rebuilding the table across calls and must be
     cell_kernel(pot, m): one on another grid raises ValueError; that it was
@@ -306,20 +301,10 @@ def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT
     K = kernel if kernel is not None else cell_kernel(pot, m)
     if K.m != m:
         raise ValueError(f"kernel is on m = {K.m} cells, not m = {m}; pass cell_kernel(pot, m)")
-    if seeds is None:
-        seeds = default_seeds(K.m, rho)
-        first = spectral_seeds(K, xi_target, rho, len(seeds))
-        batches = [first, [k for k in range(len(seeds)) if k not in first]]
-    else:
-        seeds = list(seeds)
-        batches = [range(len(seeds))]
+    seeds = default_seeds(K.m, rho)
     results = []
-    for batch in batches:
-        for k in batch:
-            res = solve_multipliers(K, xi_target, rho, seeds[k])
-            results.append((k, res))
-            if res.converged and res.branch == "constant":
-                break
+    for batch in spectral_seeds(K, xi_target, rho, len(seeds)):
+        results += [(k, solve_multipliers(K, xi_target, rho, seeds[k])) for k in batch]
         if any(r.converged for _, r in results):
             break
 

@@ -8,10 +8,12 @@ shifted binary entropy and the spectral radius sigma of the scaled kernel,
 and scans S across the curve to verify the slope bound c / sigma.  Each
 scan point is one solve_entropy call on a shared kernel, each seed taken
 through the single Newton-KKT path.  The kernel spectrum lambda_k picks the
-seeds: on the curve the constant seed alone (Jensen stop), off it the k-bump
-seeds whose lambda_k has the sign of the offset, and the rest of the family
-only if none of those converges.  The same spectrum gives the one-sided
-slopes in closed form, which the scan sets beside its secant estimates.
+seeds (solver.spectral_seeds): on the curve the constant seed first, off it
+the k-bump seeds whose lambda_k has the sign of the offset, then the rest of
+the family if none of those converges, and the constant alone where no
+lambda_k has that sign.  The same spectrum gives the one-sided slopes in
+closed form, which the scan sets beside its secant estimates; a side without
+such a lambda_k reads nan.
 """
 
 from __future__ import annotations
@@ -183,9 +185,6 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> Transit
     holds when both closed-form slopes lie within SUPERCRITICAL_TOL of the
     extrapolated ones.
     """
-    if pot.kind == CONSTANT:
-        raise UnscannableCurve(
-            "constant interactions tie the energy to the particle density; nothing to scan")
     deltas = sorted(float(d) for d in deltas)
     if not deltas or not all(0.0 < d < math.inf for d in deltas):
         raise ValueError("deltas must be a nonempty list of positive finite reals")
@@ -195,6 +194,9 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> Transit
     if len(set(targets)) < len(targets):
         raise ValueError("deltas must be distinct and must move xi0 = lambda rho^2: a "
                          "repeated or vanishing offset leaves no secant gap")
+    if pot.kind == CONSTANT:
+        raise UnscannableCurve(
+            "constant interactions tie the energy to the particle density; nothing to scan")
     probe = feasibility_probe(pot, rho)
     if not probe.interior:
         raise UnscannableCurve("curve point not certified interior (plateau height too small)")

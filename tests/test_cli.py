@@ -325,9 +325,15 @@ class TestInputErrors:
         ["scan", "--rho", "0.23", "--deltas", "1e-300", "--grid", "64"],
         ["enumerate", "--n", "10", "--xi", "0.3", "--rho", "0.3", "--delta", "inf"],
         ["sample", "--n", "32", "--steps", "10", "--delta", "inf"],
+        # the delta list is checked before the potential: a constant one is not reached
+        ["scan", "--rho", "0.23", "--deltas", "", "--config", "{constant}"],
     ])
     def test_rejected_input_is_config_error(self, cfg, tmp_path, capsys, args):
-        assert run(args + ["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        constant = tmp_path / "const.cfg"
+        constant.write_text("[potential]\nkind = constant\nJ = 3.0\n")
+        # a --config in args comes later, so it wins over the reference config
+        args = [args[0], "--config", cfg, *(a.format(constant=constant) for a in args[1:])]
+        assert run(args + ["--out", str(tmp_path / "o")]) == 3
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])

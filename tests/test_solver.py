@@ -10,23 +10,33 @@ from scipy.linalg import toeplitz
 
 import latgas as lg
 from latgas import cli, solver, transition
+from latgas.potential import KernelMatrix
 
 RHO = 0.23
 XI_CURVE = 7.0 * RHO * RHO
 
 
-# the whole default family, each seed run in family order: the per-seed
-# behaviour that the spectral pick of solve_entropy skips off the curve
+FAMILY = [list(range(7))]
+
+
+def solve_in_batches(pot, xi_t, rho, m, batches=FAMILY, kernel=None):
+    """solve_entropy with the given seed batches in place of spectral_seeds; by
+    default the whole family in one batch, each seed run in family order"""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "spectral_seeds", lambda *args: batches)
+        return lg.solve_entropy(pot, xi_t, rho, m=m, kernel=kernel)
+
+
+# the whole default family: the per-seed behaviour that the spectral pick of
+# solve_entropy skips off the curve
 @pytest.fixture(scope="module")
 def family_below(pot_a2, kernel256):
-    return lg.solve_entropy(pot_a2, XI_CURVE - 0.02, RHO, m=256, kernel=kernel256,
-                            seeds=lg.default_seeds(256, RHO))
+    return solve_in_batches(pot_a2, XI_CURVE - 0.02, RHO, 256, kernel=kernel256)
 
 
 @pytest.fixture(scope="module")
 def family_above(pot_a2, kernel256):
-    return lg.solve_entropy(pot_a2, XI_CURVE + 0.02, RHO, m=256, kernel=kernel256,
-                            seeds=lg.default_seeds(256, RHO))
+    return solve_in_batches(pot_a2, XI_CURVE + 0.02, RHO, 256, kernel=kernel256)
 
 
 class TestSolveMultipliers:
@@ -122,10 +132,11 @@ class TestSolveEntropy:
         assert [c["seed"] for c in solve_below.candidates] == [1, 5]
         assert [c["seed"] for c in solve_above.candidates] == [2, 3, 4, 6]
         assert solve_below.stop == solve_above.stop == "tolerance"
-        # on 5 cells the seeds k = 4 and 6 excite mode 1, and k = 3 mode 2
+        # on 5 cells the seeds k = 4 and 6 excite mode 1 and k = 3 mode 2, while
+        # k = 5 is the constant rho / 2 on every cell: never picked, only run in the rest
         K5 = lg.cell_kernel(pot_a2, 5)
-        assert solver.spectral_seeds(K5, XI_CURVE - 0.02, RHO, 7) == [1, 4, 6]
-        assert solver.spectral_seeds(K5, XI_CURVE + 0.02, RHO, 7) == [2, 3, 5]
+        assert solver.spectral_seeds(K5, XI_CURVE - 0.02, RHO, 7) == [[1, 4, 6], [0, 2, 3, 5]]
+        assert solver.spectral_seeds(K5, XI_CURVE + 0.02, RHO, 7) == [[2, 3], [0, 1, 4, 5, 6]]
 
     def test_jensen_stop_on_curve(self, solve_on_curve):
         # the constant seed comes first and converges: no other seed runs
@@ -142,11 +153,10 @@ class TestSolveEntropy:
             assert res.stop == "tolerance"
 
     def test_jensen_stop_keeps_winner(self, pot_a2, kernel256, solve_on_curve):
-        # with the constant seed last all seven run, and the winner is the same
-        seeds = lg.default_seeds(256, RHO)
-        res = lg.solve_entropy(pot_a2, XI_CURVE, RHO, m=256, kernel=kernel256,
-                               seeds=seeds[1:] + seeds[:1])
-        assert len(res.candidates) == 7
+        # the constant attains S <= -hbin(rho): with the whole family in one batch,
+        # the constant last, all seven run, and the winner is the same
+        res = solve_in_batches(pot_a2, XI_CURVE, RHO, 256, [[1, 2, 3, 4, 5, 6, 0]], kernel256)
+        assert [c["seed"] for c in res.candidates] == [1, 2, 3, 4, 5, 6, 0]
         assert lg.profile_to_csv(res.profile) == lg.profile_to_csv(solve_on_curve.profile)
         assert res.multipliers == solve_on_curve.multipliers
         assert res.entropy_S == solve_on_curve.entropy_S
@@ -193,8 +203,8 @@ DELTAS = [-0.02, -0.01, -0.005, 0.005, 0.01, 0.02]
 @pytest.mark.parametrize("rho", sorted(CONVERGED_SEEDS))
 def test_converged_seeds(pot_a2, kernel256, rho):
     flags = ["".join("1" if c["converged"] else "0" for c in
-                     lg.solve_entropy(pot_a2, 7.0 * rho * rho + d, rho, m=256, kernel=kernel256,
-                                      seeds=lg.default_seeds(256, rho)).candidates)
+                     solve_in_batches(pot_a2, 7.0 * rho * rho + d, rho, 256,
+                                      kernel=kernel256).candidates)
              for d in DELTAS]
     assert flags == CONVERGED_SEEDS[rho]
 
@@ -211,7 +221,7 @@ ODD_GRID_CANDIDATES = {
 
 @pytest.mark.parametrize("dxi", sorted(ODD_GRID_CANDIDATES))
 def test_odd_grid(pot_a2, dxi):
-    res = lg.solve_entropy(pot_a2, XI_CURVE + dxi, RHO, m=129, seeds=lg.default_seeds(129, RHO))
+    res = solve_in_batches(pot_a2, XI_CURVE + dxi, RHO, 129)
     got = [(c["seed"], c["branch"], c["entropy_S"]) for c in res.candidates if c["converged"]]
     want = ODD_GRID_CANDIDATES[dxi]
     assert [g[:2] for g in got] == [w[:2] for w in want]
@@ -235,7 +245,7 @@ def test_spectral_seeds_keep_the_winner(pot_a2, m, rho, dxi):
     K = lg.cell_kernel(pot_a2, m)
     xi_t = 7.0 * rho * rho + dxi
     spectral = lg.solve_entropy(pot_a2, xi_t, rho, m=m, kernel=K)
-    family = lg.solve_entropy(pot_a2, xi_t, rho, m=m, kernel=K, seeds=lg.default_seeds(m, rho))
+    family = solve_in_batches(pot_a2, xi_t, rho, m, kernel=K)
     assert len(spectral.candidates) < len(family.candidates)
     assert_same_winner(spectral, family)
 
@@ -243,22 +253,15 @@ def test_spectral_seeds_keep_the_winner(pot_a2, m, rho, dxi):
 @pytest.mark.parametrize("pot,dxi,spectral", [
     # far above the curve: the seeds k = 2, 3, 4, 6 run and all fail
     (lg.Potential.power_plateau(0.5, 10.0), 2.6, [2, 3, 4, 6]),
-    # lambda_k > 0 for every k >= 1, so nothing lies below the curve
-    (lg.Potential.power_plateau(0.7, 2.0), -0.02, []),
-    # lambda_k >= 0: the even k read 0 where the rfft leaves -1.7e-18 of rounding
-    (lg.Potential.tabulated([(0, 1), (0.5, 0)]), -0.02, []),
 ])
 def test_spectral_fallback_runs_the_family(pot, dxi, spectral):
     K = lg.cell_kernel(pot, 64)
     xi_t = K.spectrum[0] * RHO * RHO + dxi
-    assert solver.spectral_seeds(K, xi_t, RHO, 7) == spectral
-    # the closed-form slope on the target's side is nan exactly when no seed is spectral
-    slope = transition.spectral_slopes(K, RHO)[0 if dxi < 0 else 1]
-    assert np.isnan(slope) == (not spectral)
-    res = lg.solve_entropy(pot, xi_t, RHO, m=64, kernel=K)
-    family = lg.solve_entropy(pot, xi_t, RHO, m=64, kernel=K, seeds=lg.default_seeds(64, RHO))
     # the spectral seeds first, then the rest of the family in family order
     rest = [k for k in range(7) if k not in spectral]
+    assert solver.spectral_seeds(K, xi_t, RHO, 7) == [spectral, rest]
+    res = lg.solve_entropy(pot, xi_t, RHO, m=64, kernel=K)
+    family = solve_in_batches(pot, xi_t, RHO, 64, kernel=K)
     assert [c["seed"] for c in res.candidates] == spectral + rest
     assert not res.converged
     assert_same_winner(res, family)
@@ -266,16 +269,90 @@ def test_spectral_fallback_runs_the_family(pot, dxi, spectral):
     assert [c["stop"] for c in by_seed] == [c["stop"] for c in family.candidates]
 
 
+@pytest.mark.parametrize("pot", [
+    # lambda_k > 0 for every k >= 1, so nothing lies below the curve
+    lg.Potential.power_plateau(0.7, 2.0),
+    # lambda_k >= 0: the even k read 0 where the rfft leaves -1.7e-18 of rounding
+    lg.Potential.tabulated([(0, 1), (0.5, 0)]),
+])
+def test_no_sign_side_runs_the_constant_alone(pot):
+    # below the curve xi(f) - lambda_0 N(f)^2 = sum_k lambda_k |f_k|^2 / m^2 >= 0 for
+    # every profile: the target is infeasible, and only the constant runs
+    K = lg.cell_kernel(pot, 64)
+    xi_t = K.spectrum[0] * RHO * RHO - 0.02
+    assert solver.spectral_seeds(K, xi_t, RHO, 7) == [[0]]
+    # the closed-form slope on that side is nan for the same reason
+    assert np.isnan(transition.spectral_slopes(K, RHO)[0])
+    res = lg.solve_entropy(pot, xi_t, RHO, m=64, kernel=K)
+    assert [c["seed"] for c in res.candidates] == [0]
+    assert not res.converged
+    # no seed of the whole family converges there either
+    family = solve_in_batches(pot, xi_t, RHO, 64, kernel=K)
+    assert not any(c["converged"] for c in family.candidates)
+    assert res.candidates[0] == family.candidates[0]
+
+
+@pytest.mark.parametrize("m", [5, 129])
+@pytest.mark.parametrize("rho", [1e-6, 0.999999])
+def test_constant_seed_keeps_extreme_densities(pot_a2, rho, m):
+    # the constant seed is rho itself, not clipped into [1e-4, 1 - 1e-4]
+    K = lg.cell_kernel(pot_a2, m)
+    res = lg.solve_entropy(pot_a2, K.spectrum[0] * rho * rho, rho, m=m, kernel=K)
+    assert res.converged and res.branch == "constant"
+    assert [c["seed"] for c in res.candidates] == [0]
+
+
+@st.composite
+def spectra_and_profiles(draw):
+    """A symmetric kernel row through its spectrum (lambda_k >= 0 for k >= 1, <= 0,
+    or of any sign) and a profile on the same grid."""
+    m = draw(st.integers(4, 64))
+    lam = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=m // 2 + 1,
+                                 max_size=m // 2 + 1)))
+    sign = draw(st.sampled_from([1.0, -1.0, None]))
+    if sign is not None:
+        lam[1:] = sign * np.abs(lam[1:])
+    f = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    return KernelMatrix(m=m, row=np.fft.irfft(lam * m, m)), lg.make_profile(f)
+
+
+class TestSeedRule:
+    @given(spectra_and_profiles())
+    def test_no_sign_bounds_the_energy(self, kf):
+        # xi(f) - lambda_0 N(f)^2 = sum_k lambda_k |f_k|^2 / m^2 takes the sign the
+        # lambda_k, k >= 1, share: such a target on the other side is infeasible
+        K, f = kf
+        lam, tol = K.spectrum, 1e-10 * max(1.0, float(np.abs(K.row).max()))
+        gap = lg.xi(f, K) - lam[0] * lg.density_N(f) ** 2
+        if np.all(lam[1:] >= 0.0):
+            assert gap >= -tol
+        if np.all(lam[1:] <= 0.0):
+            assert gap <= tol
+
+    @given(spectra_and_profiles(), st.floats(0.05, 0.95),
+           st.sampled_from([0.0, 1e-3, -1e-3, 0.5, -0.5]))
+    def test_batches(self, kf, rho, dxi):
+        K, _ = kf
+        batches = solver.spectral_seeds(K, K.spectrum[0] * rho * rho + dxi, rho, 7)
+        seeds = [k for batch in batches for k in batch]
+        assert len(seeds) == len(set(seeds)) and set(seeds) <= set(range(7))
+        if dxi == 0.0:
+            assert batches[0] == [0] and sorted(seeds) == list(range(7))
+            return
+        no_sign = np.isnan(transition.spectral_slopes(K, rho)[0 if dxi < 0 else 1])
+        assert (batches == [[0]]) == no_sign
+        assert no_sign or sorted(seeds) == list(range(7))
+
+
 @pytest.mark.parametrize("order", [[1, 3], [3, 1]])
-def test_tie_rule_reads_the_seed_index(monkeypatch, order):
+def test_tie_rule_reads_the_seed_index(order):
     # at r = 0.3 the seeds k = 1 and 3 both reach the three-bump optimizer, S equal to
     # 2e-12: the lower seed index wins, in whichever order the seeds ran
     pot = lg.Potential.power_plateau(0.3, 10.0)
     K = lg.cell_kernel(pot, 64)
     xi_t = K.spectrum[0] * 0.4 ** 2 + 0.005 * K.spectrum[0]
-    family = lg.solve_entropy(pot, xi_t, 0.4, m=64, kernel=K, seeds=lg.default_seeds(64, 0.4))
-    monkeypatch.setattr(solver, "spectral_seeds", lambda *args: order)
-    res = lg.solve_entropy(pot, xi_t, 0.4, m=64, kernel=K)
+    family = solve_in_batches(pot, xi_t, 0.4, 64, kernel=K)
+    res = solve_in_batches(pot, xi_t, 0.4, 64, [order], K)
     assert [c["seed"] for c in res.candidates] == order
     assert {c["branch"] for c in res.candidates} == {"multimodal(3)"}
     assert res.entropy_S != res.candidates[order.index(3)]["entropy_S"]
@@ -451,12 +528,11 @@ class TestOptimizerInvariants:
             v = res.profile.values
             assert np.all(v > 0.0) and np.all(v < 1.0)
 
-    def test_translation_covariance(self, pot_a2, kernel256, solve_below):
+    def test_translation_covariance(self, kernel256, solve_below):
         shift = 61
         x = (np.arange(256) + 0.5) / 256
         seed = np.clip(RHO * (1.0 + 0.5 * np.cos(2 * np.pi * x)), 1e-4, 1 - 1e-4)
-        res = lg.solve_entropy(pot_a2, XI_CURVE - 0.02, RHO, m=256, kernel=kernel256,
-                               seeds=[lg.make_profile(np.roll(seed, shift))])
+        res = lg.solve_multipliers(kernel256, XI_CURVE - 0.02, RHO, np.roll(seed, shift))
         assert res.converged
         a, b = res.profile.values, solve_below.profile.values
         best = min(float(np.max(np.abs(np.roll(a, s) - b))) for s in range(256))
