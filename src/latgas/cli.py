@@ -222,7 +222,10 @@ def cmd_enumerate(args, pot, xi, rho, delta, n) -> int:
 
 
 def cmd_feasibility(args, pot, rho) -> int:
-    probe = transition.feasibility_probe(pot, rho)
+    try:
+        probe = transition.feasibility_probe(pot, rho)
+    except RuntimeError as exc:  # the closed forms disagree with the grid cross-check
+        raise InfeasibleError(str(exc)) from exc
     verdict = "interior" if probe.interior else "not-certified"
     print(f"xi1={fmt(probe.xi1)} xi2={fmt(probe.xi2)} xi3={fmt(probe.xi3)} {verdict}")
     (args.out / "feasibility.csv").write_text(functional.csv_text(

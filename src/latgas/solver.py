@@ -262,10 +262,11 @@ def spectral_seeds(K: KernelMatrix, xi_target: float, rho: float, count: int) ->
     the curve, |xi - lambda_0 rho^2| <= CONSTRAINT_TOL max(1, |xi|), the
     constant alone, then the k-bump seeds.  Off it, the k-bump seeds whose
     lambda_k has the sign of xi - lambda_0 rho^2, then the rest of the family;
-    a seed with k % m == 0 is a constant profile on the grid and is never
-    picked.  If no lambda_k, k = 1..m//2, has that sign, xi(f) - lambda_0 N(f)^2
-    = sum_k lambda_k |f_k|^2 / m^2 has the other sign for every profile, so the
-    target is infeasible and the constant alone runs.
+    a seed with 2k % m == 0 is constant on the grid (up to rounding when k % m
+    is m/2) and is never picked first.  If no lambda_k, k = 1..m//2, has that
+    sign, xi(f) - lambda_0 N(f)^2 = sum_k lambda_k |f_k|^2 / m^2 has the other
+    sign for every profile, so the target is infeasible and the constant alone
+    runs.
     """
     lam = K.spectrum
     dxi = xi_target - rho * rho * lam[0]
@@ -274,7 +275,7 @@ def spectral_seeds(K: KernelMatrix, xi_target: float, rho: float, count: int) ->
     if not np.any(lam[1:] * dxi > 0.0):
         return [[0]]
     first = [k for k in range(1, count)
-             if k % K.m and lam[min(k % K.m, -k % K.m)] * dxi > 0.0]
+             if 2 * k % K.m and lam[min(k % K.m, -k % K.m)] * dxi > 0.0]
     return [first, [k for k in range(count) if k not in first]]
 
 

@@ -2,18 +2,18 @@
 
 The entropy surface S(xi, rho) has a first-order kink along the curve
 xi = lambda * rho^2 where the constant profile is the optimizer.  This
-module certifies that the curve point is achievable from both sides (three
-closed-form test profiles), computes the convexity-gap constant c of the
-shifted binary entropy and the spectral radius sigma of the scaled kernel,
-and scans S across the curve to verify the slope bound c / sigma.  Each
-scan point is one solve_entropy call on a shared kernel, each seed taken
-through the single Newton-KKT path.  The kernel spectrum lambda_k picks the
-seeds (solver.spectral_seeds): on the curve the constant seed first, off it
-the k-bump seeds whose lambda_k has the sign of the offset, then the rest of
-the family if none of those converges, and the constant alone where no
-lambda_k has that sign.  The same spectrum gives the one-sided slopes in
-closed form, which the scan sets beside its secant estimates; a side without
-such a lambda_k reads nan.
+module holds the paper's three closed-form test profiles (feasibility_probe),
+computes the convexity-gap constant c of the shifted binary entropy and the
+spectral radius sigma of the scaled kernel, and scans S across the curve to
+verify the slope bound c / sigma.  The kernel spectrum lambda_k decides
+whether the scan runs: the curve point is interior to the achievable region
+on the grid iff some lambda_k, k >= 1, is negative and some positive, which
+is when both closed-form one-sided slopes (spectral_slopes) are finite.
+Each scan point is one solve_entropy call on a shared kernel, each seed
+taken through the single Newton-KKT path.  The same spectrum picks the seeds
+(solver.spectral_seeds): on the curve the constant seed first, off it the
+k-bump seeds whose lambda_k has the sign of the offset, then the rest of the
+family if none of those converges.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .functional import (
     indicator_profile,
     xi,
 )
-from .potential import CONSTANT, POWER_PLATEAU, KernelMatrix, Potential, cell_kernel, integrated_interaction
+from .potential import POWER_PLATEAU, KernelMatrix, Potential, cell_kernel, integrated_interaction
 from .solver import solve_entropy
 
 KINK_SLACK = 1e-4  # tolerance of the scan's entropy-drop check
@@ -37,8 +37,8 @@ SUPERCRITICAL_TOL = 5e-3  # closed-form against extrapolated slopes
 
 
 class UnscannableCurve(ValueError):
-    """The curve point cannot be scanned: the potential is constant, or the
-    feasibility probe does not certify the point interior."""
+    """The curve point is not interior: the kernel spectrum has no negative or
+    no positive lambda_k, k >= 1 (a constant potential has neither)."""
 
 
 @dataclass
@@ -174,7 +174,8 @@ def spectral_slopes(K: KernelMatrix, rho: float) -> tuple[float, float, int, int
 def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> TransitionScan:
     """Solve S(xi, rho) on and around the curve xi = lambda rho^2.
 
-    Requires the feasibility probe to certify the curve point first.  For
+    Requires rho in (0, 1); a kernel spectrum without both a negative and a
+    positive lambda_k, k >= 1, raises UnscannableCurve before any solve.  For
     each delta the scan solves at xi = lambda rho^2 +/- delta, estimates the
     one-sided slopes by Richardson extrapolation of the two smallest secants,
     and checks the entropy-drop bound S - S_curve <= -(c/sigma) |dxi| + KINK_SLACK
@@ -194,14 +195,12 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> Transit
     if len(set(targets)) < len(targets):
         raise ValueError("deltas must be distinct and must move xi0 = lambda rho^2: a "
                          "repeated or vanishing offset leaves no secant gap")
-    if pot.kind == CONSTANT:
-        raise UnscannableCurve(
-            "constant interactions tie the energy to the particle density; nothing to scan")
-    probe = feasibility_probe(pot, rho)
-    if not probe.interior:
-        raise UnscannableCurve("curve point not certified interior (plateau height too small)")
-    K = cell_kernel(pot, m)
     c = convexity_gap_constant(rho)
+    K = cell_kernel(pot, m)
+    spec_left, spec_right, k_below, k_above = spectral_slopes(K, rho)
+    if math.isnan(spec_left) or math.isnan(spec_right):
+        raise UnscannableCurve(f"curve point not interior: no lambda_k (k >= 1) of the m={m} "
+                               f"spectrum is {'negative' if math.isnan(spec_left) else 'positive'}")
     sigma = spectral_radius(K)
     bound = c / sigma
 
@@ -227,7 +226,6 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> Transit
         p.S + h_rho <= -bound * abs(p.xi_actual - xi0) + KINK_SLACK for p in left + right)
     left_slope = _one_sided_slope(S_curve, xi0, left[::-1]) if curve_pt.converged else math.nan
     right_slope = _one_sided_slope(S_curve, xi0, right) if curve_pt.converged else math.nan
-    spec_left, spec_right, k_below, k_above = spectral_slopes(K, rho)
 
     return TransitionScan(
         rho=rho, lam=lam,

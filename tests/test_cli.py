@@ -78,6 +78,23 @@ class TestScan:
         assert rc == 2
         assert "infeasible" in capsys.readouterr().err
 
+    def test_no_negative_mode_refused(self, tmp_path, capsys):
+        # r = 0.9: every lambda_k, k >= 1, is positive, so the curve point is not interior
+        path = tmp_path / "steep.cfg"
+        path.write_text("[potential]\nkind = power_plateau\nr = 0.9\nM = 10\n")
+        rc = run(["scan", "--config", str(path), "--rho", "0.23", "--deltas", "0.01",
+                  "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "infeasible: curve point not interior" in capsys.readouterr().err
+
+    def test_tabulated_potential(self, tmp_path, capsys):
+        path = tmp_path / "table.cfg"
+        path.write_text("[potential]\nkind = tabulated\nsamples = 0:2;0.15:-1;0.3:1.5;0.5:0.2\n")
+        rc = run(["scan", "--config", str(path), "--rho", "0.23", "--deltas", "0.002,0.005",
+                  "--grid", "64", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert "kink_ok=true" in capsys.readouterr().out
+
     def test_empty_deltas_is_usage_error(self, cfg):
         assert run(["scan", "--config", cfg, "--rho", "0.23", "--deltas", ""]) == 3
 
@@ -150,6 +167,15 @@ class TestFeasibilityAndEval:
         assert "interior" in text
         assert (out / "feasibility.csv").read_text() == \
             "xi1,xi2,xi3,interior\n0.333333333333,0.4375,0.548202260396,true\n"
+
+    def test_feasibility_grid_check_failure_is_infeasible(self, tmp_path, capsys):
+        # at r = 0.9 the closed forms miss the m = 2048 quadrature by 2.1e-3 > 2e-3
+        path = tmp_path / "steep.cfg"
+        path.write_text("[potential]\nkind = power_plateau\nr = 0.9\nM = 10\n")
+        rc = run(["feasibility", "--config", str(path), "--rho", "0.23",
+                  "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "infeasible: closed forms disagree" in capsys.readouterr().err
 
     def test_eval_record(self, cfg, tmp_path):
         profile = tmp_path / "four.csv"
@@ -308,7 +334,7 @@ class TestInputErrors:
         ["solve", "--grid", "1"],
         ["solve", "--rho", "1.5"],
         ["scan", "--deltas=-0.01"],
-        ["scan", "--rho", "0.4", "--deltas", "0.01"],
+        ["scan", "--rho", "1.5", "--deltas", "0.01"],
         ["scan", "--grid", "1", "--deltas", "0.01"],
         ["sample", "--n", "64", "--steps", "0"],
         ["sample", "--n", "64", "--chains", "0"],

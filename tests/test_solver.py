@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
@@ -316,6 +316,12 @@ def spectra_and_profiles(draw):
     return KernelMatrix(m=m, row=np.fft.irfft(lam * m, m)), lg.make_profile(f)
 
 
+def flat_spectrum(m):
+    """Every lambda_k equal to 1 on m cells, with the constant profile 1/2."""
+    return KernelMatrix(m=m, row=np.fft.irfft(np.full(m // 2 + 1, float(m)), m)), \
+        lg.make_profile(np.full(m, 0.5))
+
+
 class TestSeedRule:
     @given(spectra_and_profiles())
     def test_no_sign_bounds_the_energy(self, kf):
@@ -331,6 +337,9 @@ class TestSeedRule:
 
     @given(spectra_and_profiles(), st.floats(0.05, 0.95),
            st.sampled_from([0.0, 1e-3, -1e-3, 0.5, -0.5]))
+    # even grids of m <= 12, where the seed k = m/2 is constant up to rounding
+    @example(flat_spectrum(4), 0.23, 1e-3)
+    @example(flat_spectrum(12), 0.23, 1e-3)
     def test_batches(self, kf, rho, dxi):
         K, _ = kf
         batches = solver.spectral_seeds(K, K.spectrum[0] * rho * rho + dxi, rho, 7)
@@ -342,6 +351,9 @@ class TestSeedRule:
         no_sign = np.isnan(transition.spectral_slopes(K, rho)[0 if dxi < 0 else 1])
         assert (batches == [[0]]) == no_sign
         assert no_sign or sorted(seeds) == list(range(7))
+        # off the curve no seed picked first is constant on the grid, up to rounding
+        family = lg.default_seeds(K.m, rho)
+        assert no_sign or all(np.ptp(family[k].values) >= 1e-12 for k in batches[0])
 
 
 @pytest.mark.parametrize("order", [[1, 3], [3, 1]])

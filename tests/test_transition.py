@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
@@ -13,6 +13,8 @@ from latgas import cli, solver, transition
 from latgas.potential import KernelMatrix
 
 RHO = 0.23
+# a tabulated interaction whose kernel has a negative and a positive lambda_k
+FOUR_KNOTS = lg.Potential.tabulated([(0.0, 2.0), (0.15, -1.0), (0.3, 1.5), (0.5, 0.2)])
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,12 @@ class TestFeasibilityProbe:
         probe = lg.feasibility_probe(pot, 0.25)
         assert probe.xi1 > probe.xi2
         assert not probe.interior
+
+    def test_low_density_not_certified(self, pot_a2):
+        # the single block lies above the constant at rho = 0.10: the probe certifies
+        # nothing, though the kernel spectrum puts the curve point inside (the scan runs)
+        probe = lg.feasibility_probe(pot_a2, 0.10)
+        assert probe.xi1 > probe.xi2 and not probe.interior
 
     def test_vanishing_density(self, pot_a2):
         probe = lg.feasibility_probe(pot_a2, 1e-3)
@@ -191,8 +199,53 @@ class TestScanTransition:
         assert math.isnan(left) and right < 0.0 and k_above == 1
 
     def test_constant_interaction_refused(self):
-        with pytest.raises(ValueError):
+        # every lambda_k, k >= 1, of a constant interaction is stored as 0
+        with pytest.raises(transition.UnscannableCurve):
             lg.scan_transition(lg.Potential.constant(3.0), RHO, [0.01])
+
+    def test_no_negative_mode_refused(self, monkeypatch):
+        # at r = 0.9 every lambda_k, k >= 1, of the m = 256 kernel is positive: the
+        # curve point is not interior, and the scan refuses before any solve
+        monkeypatch.setattr(transition, "solve_entropy", None)
+        with pytest.raises(transition.UnscannableCurve, match="negative"):
+            lg.scan_transition(lg.Potential.power_plateau(0.9, 10.0), RHO, [0.01], m=256)
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("pot", [lg.Potential.power_plateau(0.5, 10.0),
+                                     lg.Potential.constant(3.0)], ids=["power", "constant"])
+    def test_rho_outside_unit_interval_refused(self, pot, rho):
+        # rho is checked before the kernel is built, so on a constant interaction too
+        with pytest.raises(ValueError, match="rho must lie in"):
+            lg.scan_transition(pot, rho, [0.01], m=64)
+
+    @pytest.mark.parametrize("pot, rho, deltas", [
+        (lg.Potential.power_plateau(0.5, 10.0), 0.30, [0.005, 0.01, 0.02]),
+        (lg.Potential.power_plateau(0.5, 10.0), 0.10, [0.005, 0.01]),
+        # lambda_1 = -0.112 is the table's largest negative mode: below the curve
+        # the solves at xi0 - 0.01 and xi0 - 0.02 no longer converge
+        (FOUR_KNOTS, RHO, [0.001, 0.002, 0.004]),
+    ], ids=["rho=0.30", "rho=0.10", "table"])
+    def test_scans_past_the_probe(self, pot, rho, deltas):
+        # the probe is defined for the power law at rho <= 1/4 only, and does not
+        # certify rho = 0.10; the spectrum puts all three curve points inside
+        scan = lg.scan_transition(pot, rho, deltas, m=256)
+        assert scan.kink_ok and all(p.converged for p in scan.points)
+        n = len(deltas)
+        assert [p.branch for p in scan.points] == \
+            ["unimodal"] * n + ["constant"] + ["multimodal(3)"] * n
+
+    @given(st.floats(0.01, 0.99), st.floats(0.05, 30.0), st.floats(1e-3, 0.25))
+    def test_probe_interior_implies_gate(self, r, M, rho):
+        # wherever the three closed-form profiles certify the curve point, the
+        # spectrum of the scan's kernel has a negative and a positive lambda_k
+        pot = lg.Potential.power_plateau(r, M)
+        try:
+            probe = lg.feasibility_probe(pot, rho)
+        except RuntimeError:  # the closed forms fail the m = 2048 grid cross-check
+            assume(False)
+        if probe.interior:
+            left, right, _, _ = transition.spectral_slopes(lg.cell_kernel(pot, 256), rho)
+            assert math.isfinite(left) and math.isfinite(right)
 
     def test_empty_deltas_refused(self, pot_a2):
         with pytest.raises(ValueError):
