@@ -15,11 +15,12 @@ iterate, rolled back, is the seed's candidate, judged on the residual the
 solve already holds; a converged one carries a second-order certificate, the
 inertias of the even and the odd block of its KKT matrix.  solve_entropy runs
 that path from the k-bump seed family (constant plus cos(2 pi k x),
-k = 1..6) and keeps the candidate of maximal entropy.  The kernel spectrum
-picks the seeds (spectral_seeds): near the constant a mode-k perturbation of
-amplitude eps moves xi by about eps^2 lambda_k, so on the curve the constant
-runs alone first, off it the seeds whose lambda_k has the sign of
-xi - lambda_0 rho^2, and where no lambda_k has that sign the constant alone.
+k = 1..6) and keeps the candidate of maximal entropy, ties within 1e-9 going
+to the lower seed index.  The kernel spectrum picks the seeds
+(spectral_seeds): near the constant a mode-k perturbation of amplitude eps
+moves xi by about eps^2 lambda_k, so on the curve the constant runs alone
+first, off it the seeds whose lambda_k has the sign of xi - lambda_0 rho^2,
+and where no lambda_k has that sign the constant alone.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ NEWTON_MAX_ITER = 60
 NOISE_FLOOR = 1e-6
 PEAK_TIE_EPS = 1e-12
 STALL_STREAK, STALL_HALVINGS, STALL_GAP = 4, 15, 1e-3
+_BUMP_MODES = range(1, 7)  # the k of the k-bump seeds
 
 
 @dataclass(frozen=True)
@@ -250,12 +252,12 @@ def default_seeds(m: int, rho: float):
     """
     x = (np.arange(m) + 0.5) / m
     bumps = [np.clip(rho * (1.0 + 0.5 * np.cos(2.0 * np.pi * k * x)), 1e-4, 1.0 - 1e-4)
-             for k in range(1, 7)]
+             for k in _BUMP_MODES]
     return [make_profile(v) for v in [np.full(m, rho)] + bumps]
 
 
-def spectral_seeds(K: KernelMatrix, xi_target: float, rho: float, count: int) -> list[list[int]]:
-    """The batches of the count default_seeds that solve_entropy runs, in order.
+def spectral_seeds(K: KernelMatrix, xi_target: float, rho: float) -> list[list[int]]:
+    """The batches of default_seeds, by family index, that solve_entropy runs, in order.
 
     A branch leaving the constant in mode k moves xi by eps^2 lambda_k
     (KernelMatrix.spectrum; mode k folded onto 0..m//2 on a coarse grid).  On
@@ -271,12 +273,12 @@ def spectral_seeds(K: KernelMatrix, xi_target: float, rho: float, count: int) ->
     lam = K.spectrum
     dxi = xi_target - rho * rho * lam[0]
     if abs(dxi) <= CONSTRAINT_TOL * max(1.0, abs(xi_target)):
-        return [[0], list(range(1, count))]
+        return [[0], list(_BUMP_MODES)]
     if not np.any(lam[1:] * dxi > 0.0):
         return [[0]]
-    first = [k for k in range(1, count)
+    first = [k for k in _BUMP_MODES
              if 2 * k % K.m and lam[min(k % K.m, -k % K.m)] * dxi > 0.0]
-    return [first, [k for k in range(count) if k not in first]]
+    return [first, [0] + [k for k in _BUMP_MODES if k not in first]]
 
 
 def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT_GRID,
@@ -289,11 +291,11 @@ def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT
     convexity of hbin puts on every profile, so once it converges no other
     seed runs.  Each candidate's seed is its family index k (0 the constant).
     The converged candidate of maximal entropy wins; ties within 1e-9 go to
-    the profile with fewer peaks, then to the lower seed index.  The winner is
-    circularly shifted by align_peak.  If every seed fails the result comes
-    back with converged=False and the least-bad diagnostics (ties to the lower
-    seed index).  candidates summarizes the seeds that ran, in the order they
-    ran, each with its seed index, stop and certificate.
+    the lower seed index.  The winner is circularly shifted by align_peak.  If
+    every seed fails the result comes back with converged=False and the
+    least-bad diagnostics (ties to the lower seed index).  candidates
+    summarizes the seeds that ran, in the order they ran, each with its seed
+    index, stop and certificate.
 
     A given kernel saves rebuilding the table across calls and must be
     cell_kernel(pot, m): one on another grid raises ValueError; that it was
@@ -304,7 +306,7 @@ def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT
         raise ValueError(f"kernel is on m = {K.m} cells, not m = {m}; pass cell_kernel(pot, m)")
     seeds = default_seeds(K.m, rho)
     results = []
-    for batch in spectral_seeds(K, xi_target, rho, len(seeds)):
+    for batch in spectral_seeds(K, xi_target, rho):
         results += [(k, solve_multipliers(K, xi_target, rho, seeds[k])) for k in batch]
         if any(r.converged for _, r in results):
             break
@@ -316,9 +318,7 @@ def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT
         _, best = min(results, key=lambda kr: (max(kr[1].residuals), kr[0]))
         return replace(best, candidates=summaries)
     top = max(r.entropy_S for _, r in converged)
-    near = [(k, r) for k, r in converged if r.entropy_S >= top - 1e-9]
-    # ties prefer fewer peaks, then the lower seed index
-    _, best = min(near, key=lambda kr: (_peak_count(kr[1].branch), kr[0]))
+    _, best = min((kr for kr in converged if kr[1].entropy_S >= top - 1e-9), key=lambda kr: kr[0])
     return replace(best, profile=align_peak(best.profile), candidates=summaries)
 
 
@@ -365,9 +365,3 @@ def _cyclic_peak_count(s: np.ndarray, thresh: float) -> int:
     last = np.maximum.accumulate(np.where(sign != 0, np.arange(n), -1))
     filled = sign[np.where(last < 0, nz[-1], last)]
     return int(np.sum((filled == 1) & (np.roll(filled, -1) == -1) & (s > thresh)))
-
-
-def _peak_count(branch: str) -> int:
-    if branch.startswith("multimodal"):
-        return int(branch[len("multimodal("):-1])
-    return {"constant": 0, "unimodal": 1}.get(branch, 0)

@@ -9,11 +9,8 @@ verify the slope bound c / sigma.  The kernel spectrum lambda_k decides
 whether the scan runs: the curve point is interior to the achievable region
 on the grid iff some lambda_k, k >= 1, is negative and some positive, which
 is when both closed-form one-sided slopes (spectral_slopes) are finite.
-Each scan point is one solve_entropy call on a shared kernel, each seed
-taken through the single Newton-KKT path.  The same spectrum picks the seeds
-(solver.spectral_seeds): on the curve the constant seed first, off it the
-k-bump seeds whose lambda_k has the sign of the offset, then the rest of the
-family if none of those converges.
+Each scan point is one solve_entropy call on a shared kernel, whose seeds
+the same spectrum picks (solver.spectral_seeds).
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from .potential import POWER_PLATEAU, KernelMatrix, Potential, cell_kernel, inte
 from .solver import solve_entropy
 
 KINK_SLACK = 1e-4  # tolerance of the scan's entropy-drop check
-SUPERCRITICAL_TOL = 5e-3  # closed-form against extrapolated slopes
 
 
 class UnscannableCurve(ValueError):
@@ -83,7 +79,6 @@ class TransitionScan:
     spectral_right: float
     k_below: int
     k_above: int
-    supercritical: bool
     points: list[ScanPoint] = field(default_factory=list)
 
 
@@ -162,7 +157,10 @@ def spectral_slopes(K: KernelMatrix, rho: float) -> tuple[float, float, int, int
     below the curve the slope is 1 / (2 rho (1 - rho) |lambda_min|) and above
     it -1 / (2 rho (1 - rho) lambda_max), over the modes k >= 1, which
     k_below and k_above name; a side with no eigenvalue of its sign reads nan.
-    These are the slopes of a supercritical (continuous) bifurcation.
+    They are the delta -> 0 limit of scan_transition's one-sided slopes: at
+    m = 256, rho = 0.23 the extrapolated secants miss them by 8.1e-4 (left)
+    and 4.9e-4 (right) with deltas (0.005, 0.01), and by 1.2e-6 and 7.4e-7
+    with deltas (2e-4, 4e-4).
     """
     lam = K.spectrum[1:]
     lo, hi, curv = float(lam.min()), float(lam.max()), 2.0 * rho * (1.0 - rho)
@@ -182,9 +180,7 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> Transit
     on every converged point.  kink_ok holds only when the curve point and at
     least one point on each side converged and every drop meets the bound.
     Failed solves become failure markers, not exceptions.  spectral_left,
-    spectral_right, k_below and k_above are spectral_slopes; supercritical
-    holds when both closed-form slopes lie within SUPERCRITICAL_TOL of the
-    extrapolated ones.
+    spectral_right, k_below and k_above are spectral_slopes.
     """
     deltas = sorted(float(d) for d in deltas)
     if not deltas or not all(0.0 < d < math.inf for d in deltas):
@@ -234,8 +230,6 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> Transit
         S_curve=S_curve, kink_ok=kink_ok,
         within_hypotheses=bool(pot.kind == POWER_PLATEAU and pot.r < 0.5),
         spectral_left=spec_left, spectral_right=spec_right, k_below=k_below, k_above=k_above,
-        supercritical=bool(abs(spec_left - left_slope) <= SUPERCRITICAL_TOL
-                           and abs(spec_right - right_slope) <= SUPERCRITICAL_TOL),
         points=points)
 
 

@@ -112,7 +112,6 @@ class TestScan:
         # the closed-form slopes of the kernel spectrum ride along in the record
         assert (summary["k_below"], summary["k_above"]) == (1, 3)
         assert summary["spectral_left"] > 0.0 > summary["spectral_right"]
-        assert isinstance(summary["supercritical"], bool)
 
 
 class TestSampleAndEnumerate:

@@ -135,10 +135,10 @@ class TestSolveEntropy:
         # on 5 cells the seeds k = 4 and 6 excite mode 1 and k = 3 mode 2, while
         # k = 5 is the constant rho / 2 on every cell: never picked, only run in the rest
         K5 = lg.cell_kernel(pot_a2, 5)
-        assert solver.spectral_seeds(K5, XI_CURVE - 0.02, RHO, 7) == [[1, 4, 6], [0, 2, 3, 5]]
-        assert solver.spectral_seeds(K5, XI_CURVE + 0.02, RHO, 7) == [[2, 3], [0, 1, 4, 5, 6]]
+        assert solver.spectral_seeds(K5, XI_CURVE - 0.02, RHO) == [[1, 4, 6], [0, 2, 3, 5]]
+        assert solver.spectral_seeds(K5, XI_CURVE + 0.02, RHO) == [[2, 3], [0, 1, 4, 5, 6]]
 
-    def test_jensen_stop_on_curve(self, solve_on_curve):
+    def test_constant_first_on_curve(self, solve_on_curve):
         # the constant seed comes first and converges: no other seed runs
         assert len(solve_on_curve.candidates) == 1
         assert solve_on_curve.candidates[0]["branch"] == "constant"
@@ -152,7 +152,7 @@ class TestSolveEntropy:
             assert all(c["stop"] == "tolerance" for c in res.candidates if c["converged"])
             assert res.stop == "tolerance"
 
-    def test_jensen_stop_keeps_winner(self, pot_a2, kernel256, solve_on_curve):
+    def test_constant_first_keeps_winner(self, pot_a2, kernel256, solve_on_curve):
         # the constant attains S <= -hbin(rho): with the whole family in one batch,
         # the constant last, all seven run, and the winner is the same
         res = solve_in_batches(pot_a2, XI_CURVE, RHO, 256, [[1, 2, 3, 4, 5, 6, 0]], kernel256)
@@ -259,7 +259,7 @@ def test_spectral_fallback_runs_the_family(pot, dxi, spectral):
     xi_t = K.spectrum[0] * RHO * RHO + dxi
     # the spectral seeds first, then the rest of the family in family order
     rest = [k for k in range(7) if k not in spectral]
-    assert solver.spectral_seeds(K, xi_t, RHO, 7) == [spectral, rest]
+    assert solver.spectral_seeds(K, xi_t, RHO) == [spectral, rest]
     res = lg.solve_entropy(pot, xi_t, RHO, m=64, kernel=K)
     family = solve_in_batches(pot, xi_t, RHO, 64, kernel=K)
     assert [c["seed"] for c in res.candidates] == spectral + rest
@@ -280,7 +280,7 @@ def test_no_sign_side_runs_the_constant_alone(pot):
     # every profile: the target is infeasible, and only the constant runs
     K = lg.cell_kernel(pot, 64)
     xi_t = K.spectrum[0] * RHO * RHO - 0.02
-    assert solver.spectral_seeds(K, xi_t, RHO, 7) == [[0]]
+    assert solver.spectral_seeds(K, xi_t, RHO) == [[0]]
     # the closed-form slope on that side is nan for the same reason
     assert np.isnan(transition.spectral_slopes(K, RHO)[0])
     res = lg.solve_entropy(pot, xi_t, RHO, m=64, kernel=K)
@@ -342,7 +342,7 @@ class TestSeedRule:
     @example(flat_spectrum(12), 0.23, 1e-3)
     def test_batches(self, kf, rho, dxi):
         K, _ = kf
-        batches = solver.spectral_seeds(K, K.spectrum[0] * rho * rho + dxi, rho, 7)
+        batches = solver.spectral_seeds(K, K.spectrum[0] * rho * rho + dxi, rho)
         seeds = [k for batch in batches for k in batch]
         assert len(seeds) == len(set(seeds)) and set(seeds) <= set(range(7))
         if dxi == 0.0:
@@ -369,6 +369,29 @@ def test_tie_rule_reads_the_seed_index(order):
     assert {c["branch"] for c in res.candidates} == {"multimodal(3)"}
     assert res.entropy_S != res.candidates[order.index(3)]["entropy_S"]
     assert_same_winner(res, family)
+
+
+# power_plateau(0.7, 2) at rho = 0.1 above the curve: (m, dxi, S of the winner,
+# seed 2, and S of seed 1, the mode of the largest lambda_k, run alone)
+SAME_SIGN_TARGETS = [(64, 0.05, -0.4561864, -0.4725739), (64, 0.1, -0.5451126, -0.6048938),
+                     (127, 0.1, -0.5418405, -0.5921894)]
+
+
+@pytest.mark.parametrize("m,dxi,S,S_dominant", SAME_SIGN_TARGETS)
+def test_every_same_sign_seed_runs(m, dxi, S, S_dominant):
+    # every lambda_k is positive and lambda_1 the largest, yet seed 1 converges on
+    # its own to a lower S than seed 2: a rule that ran the seed of the largest
+    # |lambda_k| alone first would stop there and return seed 1's optimizer
+    pot = lg.Potential.power_plateau(0.7, 2.0)
+    K = lg.cell_kernel(pot, m)
+    xi_t = K.spectrum[0] * 0.1 ** 2 + dxi
+    assert int(np.argmax(np.abs(K.spectrum[1:]))) + 1 == 1
+    alone = lg.solve_multipliers(K, xi_t, 0.1, lg.default_seeds(m, 0.1)[1])
+    assert alone.converged and alone.entropy_S == pytest.approx(S_dominant, abs=1e-7)
+    res = lg.solve_entropy(pot, xi_t, 0.1, m=m, kernel=K)
+    assert res.converged and res.branch == "multimodal(2)"
+    assert res.entropy_S == pytest.approx(S, abs=1e-7)
+    assert [c["seed"] for c in res.candidates if c["entropy_S"] == res.entropy_S] == [2]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

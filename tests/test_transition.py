@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 import latgas as lg
-from latgas import cli, solver, transition
+from latgas import cli, transition
 from latgas.potential import KernelMatrix
 
 RHO = 0.23
 # a tabulated interaction whose kernel has a negative and a positive lambda_k
 FOUR_KNOTS = lg.Potential.tabulated([(0.0, 2.0), (0.15, -1.0), (0.3, 1.5), (0.5, 0.2)])
+
+
+def peaks(branch):
+    """The number of peaks of a unimodal or multimodal(k) branch label."""
+    return int(branch[len("multimodal("):-1]) if branch.startswith("multimodal") else 1
 
 
 @pytest.fixture(scope="module")
@@ -183,10 +188,18 @@ class TestScanTransition:
         assert (scan.k_below, scan.k_above) == (1, 3)
         assert abs(scan.spectral_left - scan.left_slope) <= 5e-3
         assert abs(scan.spectral_right - scan.right_slope) <= 5e-3
-        assert scan.supercritical is True
         mid = len(scan.points) // 2
-        assert {solver._peak_count(p.branch) for p in scan.points[:mid]} == {scan.k_below}
-        assert {solver._peak_count(p.branch) for p in scan.points[mid + 1:]} == {scan.k_above}
+        assert {peaks(p.branch) for p in scan.points[:mid]} == {scan.k_below}
+        assert {peaks(p.branch) for p in scan.points[mid + 1:]} == {scan.k_above}
+
+    @pytest.mark.parametrize("rho", [0.18, 0.23])
+    def test_closed_form_slopes_are_the_small_delta_limit(self, pot_a2, rho):
+        # the extrapolated secants meet the closed forms as delta -> 0: with the
+        # deltas (2e-4, 4e-4) the gaps measure at most 3.8e-6
+        scan = lg.scan_transition(pot_a2, rho, [2e-4, 4e-4], m=256)
+        assert scan.kink_ok
+        assert abs(scan.left_slope - scan.spectral_left) <= 1e-5
+        assert abs(scan.right_slope - scan.spectral_right) <= 1e-5
 
     def test_closed_form_slopes_reference(self, scan_023):
         assert scan_023.spectral_left == pytest.approx(1.73929, abs=1e-5)
