@@ -192,23 +192,23 @@ def integrated_interaction(pot: Potential) -> float:
     invariant; 2 * 4**(r-1) / (1-r) + M / 2 for the power-law/plateau
     interaction), summed segment by segment without quadrature.
     """
-    return _psi_weighted(pot, 0.0, 1.0, 1.0, 0.0)
+    return _psi_weighted(_segments(pot), 0.0, 1.0, 1.0, 0.0)
 
 
 def _segments(pot: Potential):
     """Piecewise description of the folded potential on [0, 1].
 
     Each entry is (lo, hi, tag, payload); tags are "power" (t**-r from the
-    left edge), "mirror" (t**-r from the right edge), "const" and "linear"
-    ((t0, v0, slope) for tabulated pieces).
+    left edge) and "mirror" (t**-r from the right edge), whose payload is r,
+    "const" and "linear" ((t0, v0, slope) for tabulated pieces).
     """
     if pot.kind == CONSTANT:
         return [(0.0, 1.0, "const", float(pot.J))]
     if pot.kind == POWER_PLATEAU:
         return [
-            (0.0, _CORE_END, "power", None),
+            (0.0, _CORE_END, "power", pot.r),
             (_CORE_END, 1.0 - _CORE_END, "const", float(pot.M)),
-            (1.0 - _CORE_END, 1.0, "mirror", None),
+            (1.0 - _CORE_END, 1.0, "mirror", pot.r),
         ]
     # tabulated: linear pieces between consecutive knots of the folded profile
     inner = {t for t, _ in pot.samples if 0.0 < t < 1.0}
@@ -229,10 +229,10 @@ def _power_moment(lo: float, hi: float, r: float, c0: float, c1: float) -> float
     return c0 * p1 + c1 * p2
 
 
-def _psi_weighted(pot: Potential, a: float, b: float, c0: float, c1: float) -> float:
-    """Exact integral of psi_folded(t) * (c0 + c1 t) over [a, b] in [0, 1]."""
+def _psi_weighted(segs, a: float, b: float, c0: float, c1: float) -> float:
+    """Exact integral of psi_folded(t) * (c0 + c1 t) over [a, b] in [0, 1] from _segments."""
     total = 0.0
-    for lo, hi, tag, payload in _segments(pot):
+    for lo, hi, tag, payload in segs:
         left = max(a, lo)
         right = min(b, hi)
         if right <= left:
@@ -240,10 +240,10 @@ def _psi_weighted(pot: Potential, a: float, b: float, c0: float, c1: float) -> f
         if tag == "const":
             total += payload * (c0 * (right - left) + 0.5 * c1 * (right * right - left * left))
         elif tag == "power":
-            total += _power_moment(left, right, pot.r, c0, c1)
+            total += _power_moment(left, right, payload, c0, c1)
         elif tag == "mirror":
             # substitute s = 1 - t: weight becomes (c0 + c1) - c1 s
-            total += _power_moment(1.0 - right, 1.0 - left, pot.r, c0 + c1, -c1)
+            total += _power_moment(1.0 - right, 1.0 - left, payload, c0 + c1, -c1)
         else:
             t0, v0, slope = payload
             # product of two linear factors: Simpson is exact
@@ -264,12 +264,13 @@ def kernel_row(pot: Potential, m: int) -> np.ndarray:
     if m < 2:
         raise ValueError(f"a pair table needs at least two cells, got {m}")
     h = 1.0 / m
+    segs = _segments(pot)
     ent = np.empty(m)
-    ent[0] = 2.0 * m * m * _psi_weighted(pot, 0.0, h, h, -1.0)
+    ent[0] = 2.0 * m * m * _psi_weighted(segs, 0.0, h, h, -1.0)
     for k in range(1, m // 2 + 1):
         lo, mid, hi = (k - 1) * h, k * h, (k + 1) * h
-        up = _psi_weighted(pot, lo, mid, -lo, 1.0)
-        down = _psi_weighted(pot, mid, hi, hi, -1.0)
+        up = _psi_weighted(segs, lo, mid, -lo, 1.0)
+        down = _psi_weighted(segs, mid, hi, hi, -1.0)
         ent[k] = m * m * (up + down)
     for k in range(1, (m + 1) // 2):
         ent[m - k] = ent[k]

@@ -353,15 +353,12 @@ def classify_branch(f: OccupancyProfile, noise_floor: float = NOISE_FLOOR) -> st
 
 def _cyclic_peak_count(s: np.ndarray, thresh: float) -> int:
     """Count cyclic local maxima above thresh, merging float-tie plateaus."""
-    n = s.size
     d = s - np.roll(s, 1)
-    sign = np.zeros(n, dtype=int)
+    sign = np.zeros(s.size, dtype=int)
     sign[d > PEAK_TIE_EPS] = 1
     sign[d < -PEAK_TIE_EPS] = -1
+    # a peak is a descent whose previous nonzero slope (cyclically) is an ascent;
+    # it sits at the cell before the descent
     nz = np.flatnonzero(sign)
-    if nz.size == 0:
-        return 0
-    # carry the previous slope sign through flat stretches (cyclically)
-    last = np.maximum.accumulate(np.where(sign != 0, np.arange(n), -1))
-    filled = sign[np.where(last < 0, nz[-1], last)]
-    return int(np.sum((filled == 1) & (np.roll(filled, -1) == -1) & (s > thresh)))
+    top = nz[(sign[nz] == -1) & (sign[np.roll(nz, 1)] == 1)] - 1
+    return int(np.sum(s[top] > thresh))

@@ -45,7 +45,6 @@ class FeasibilityProbe:
     xi2: float
     xi3: float
     interior: bool
-    grid_xi: tuple[float, float, float]
     max_grid_error: float
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -83,38 +82,43 @@ class TransitionScan:
 
 
 def feasibility_probe(pot: Potential, rho: float, m: int = 2048,
-                      grid_tol: float = 2e-3) -> FeasibilityProbe:
+                      grid_tol: float = 1e-10) -> FeasibilityProbe:
     """Closed-form energies of a single block, the constant, and a split block.
 
-    The three profiles share density rho; when their energies are strictly
+    The three profiles share density rho: [0, rho), the constant rho, and
+    [0, rho/2) with [1/2 - rho/2, 1/2).  When their energies are strictly
     ordered xi1 < xi2 < xi3 the curve point lambda * rho^2 is certified
-    interior to the achievable region.  Each closed form is cross-checked
-    against the grid quadratic form at resolution m; disagreement beyond
-    grid_tol raises.
+    interior to the achievable region.  The closed forms are checked on an
+    even grid of m cells at rho_m = 2 floor(rho m / 2) / m, the largest
+    density <= rho at which every profile fills whole cells.  A cell kernel
+    entry is m^2 times the exact integral of psi over its cell pair, so there
+    each grid energy is its closed form up to rounding; a gap beyond grid_tol
+    is a wrong closed form and raises RuntimeError.  For rho < 2/m, rho_m is 0
+    and the check compares nothing.
     """
     if pot.kind != POWER_PLATEAU:
         raise ValueError("the feasibility probe needs the power/plateau interaction")
     if not 0.0 < rho <= 0.25:
         raise ValueError("the probe is valid for rho in (0, 1/4]")
-    r, M = pot.r, pot.M
-    lam = integrated_interaction(pot)
+    if m % 2:
+        raise ValueError(f"the probe needs an even m, so that 1/2 is a cell boundary: {m}")
+    r, M, lam = pot.r, pot.M, integrated_interaction(pot)
     denom = (1.0 - r) * (2.0 - r)
-    xi1 = 2.0 * rho ** (2.0 - r) / denom
-    xi2 = lam * rho * rho
-    xi3 = 4.0 * (rho / 2.0) ** (2.0 - r) / denom + M * rho * rho / 2.0
 
+    def closed_forms(d):
+        return (2.0 * d ** (2.0 - r) / denom, lam * d * d,
+                4.0 * (d / 2.0) ** (2.0 - r) / denom + M * d * d / 2.0)
+
+    xi1, xi2, xi3 = closed_forms(rho)
+    rho_m = 2 * math.floor(rho * m / 2) / m
     K = cell_kernel(pot, m)
-    f1 = indicator_profile(m, [(0.0, rho)])
-    f2 = constant_profile(m, rho)
-    f3 = indicator_profile(m, [(0.0, rho / 2.0), (0.5 - rho / 2.0, 0.5)])
-    grid = (xi(f1, K), xi(f2, K), xi(f3, K))
-    errs = [abs(g - v) for g, v in zip(grid, (xi1, xi2, xi3))]
-    if max(errs) > grid_tol:
-        raise RuntimeError(
-            f"closed forms disagree with grid quadrature by {max(errs):.3e} at m={m}")
+    grid = (xi(indicator_profile(m, [(0.0, rho_m)]), K), xi(constant_profile(m, rho_m), K),
+            xi(indicator_profile(m, [(0.0, rho_m / 2.0), (0.5 - rho_m / 2.0, 0.5)]), K))
+    err = max(abs(g - v) for g, v in zip(grid, closed_forms(rho_m)))
+    if err > grid_tol:
+        raise RuntimeError(f"closed forms miss the exact grid energies by {err:.3e} at m={m}")
     return FeasibilityProbe(xi1=xi1, xi2=xi2, xi3=xi3,
-                            interior=bool(xi1 < xi2 < xi3),
-                            grid_xi=grid, max_grid_error=max(errs))
+                            interior=bool(xi1 < xi2 < xi3), max_grid_error=err)
 
 
 def convexity_gap_constant(rho: float) -> float:

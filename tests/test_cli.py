@@ -167,14 +167,18 @@ class TestFeasibilityAndEval:
         assert (out / "feasibility.csv").read_text() == \
             "xi1,xi2,xi3,interior\n0.333333333333,0.4375,0.548202260396,true\n"
 
-    def test_feasibility_grid_check_failure_is_infeasible(self, tmp_path, capsys):
-        # at r = 0.9 the closed forms miss the m = 2048 quadrature by 2.1e-3 > 2e-3
+    def test_feasibility_not_certified_steep_power_law(self, tmp_path, capsys):
+        # at r = 0.9 the single block lies above the constant: the probe certifies
+        # nothing, and its grid check passes, so the exit 2 is the verdict's alone
         path = tmp_path / "steep.cfg"
         path.write_text("[potential]\nkind = power_plateau\nr = 0.9\nM = 10\n")
-        rc = run(["feasibility", "--config", str(path), "--rho", "0.23",
-                  "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = run(["feasibility", "--config", str(path), "--rho", "0.23", "--out", str(out)])
         assert rc == 2
-        assert "infeasible: closed forms disagree" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "xi1=3.6102554322 xi2=1.18554249597 xi3=3.63298742612 not-certified\n", "")
+        assert (out / "feasibility.csv").read_text() == \
+            "xi1,xi2,xi3,interior\n3.6102554322,1.18554249597,3.63298742612,false\n"
 
     def test_eval_record(self, cfg, tmp_path):
         profile = tmp_path / "four.csv"

@@ -167,6 +167,17 @@ class TestCellKernel:
         assert potential.kernel_row(pot_a2, m)[k] == pytest.approx(m * m * (up + down),
                                                                     rel=1e-10)
 
+    @pytest.mark.parametrize("m", [2, 255, 256])
+    def test_row_reads_segments_once(self, monkeypatch, m):
+        # a tabulated potential evaluates psi at every knot to build its segment
+        # list, so the m // 2 + 1 cell-pair integrals share one list
+        calls = []
+        segments = potential._segments
+        monkeypatch.setattr(potential, "_segments", lambda pot: calls.append(pot) or segments(pot))
+        table = lg.Potential.tabulated([(0.0, 2.0), (0.15, -1.0), (0.3, 1.5), (0.5, 0.2)])
+        potential.kernel_row(table, m)
+        assert len(calls) == 1
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # strictly increasing knot positions in [0, 1], each with a finite value

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
@@ -51,6 +51,27 @@ class TestFeasibilityProbe:
     def test_vanishing_density(self, pot_a2):
         probe = lg.feasibility_probe(pot_a2, 1e-3)
         assert max(probe.as_tuple()) < 1e-4
+
+    def test_grid_check_is_exact(self):
+        # at rho_m the profiles fill whole cells, so each closed form meets its
+        # grid energy up to rounding, at every seeded (r, M, rho)
+        rng = np.random.default_rng(23)
+        for r, M, rho in zip(rng.uniform(0.01, 0.99, 40), rng.uniform(0.05, 30.0, 40),
+                             rng.uniform(1e-3, 0.25, 40)):
+            probe = lg.feasibility_probe(lg.Potential.power_plateau(r, M), rho)
+            assert probe.max_grid_error <= 1e-12, (r, M, rho)
+
+    def test_wrong_closed_form_raises(self, pot_a2, monkeypatch):
+        # xi2 = lambda rho^2 off by 1e-9 relative is a bug the check must catch
+        lam = lg.integrated_interaction(pot_a2)
+        monkeypatch.setattr(transition, "integrated_interaction", lambda pot: lam * (1 + 1e-9))
+        with pytest.raises(RuntimeError, match="closed forms miss"):
+            lg.feasibility_probe(pot_a2, 0.23)
+
+    def test_odd_grid_refused(self, pot_a2):
+        # an odd m has no cell boundary at 1/2, where the split block ends
+        with pytest.raises(ValueError, match="even m"):
+            lg.feasibility_probe(pot_a2, 0.25, m=2047)
 
     def test_requires_power_plateau(self):
         with pytest.raises(ValueError):
@@ -252,10 +273,7 @@ class TestScanTransition:
         # wherever the three closed-form profiles certify the curve point, the
         # spectrum of the scan's kernel has a negative and a positive lambda_k
         pot = lg.Potential.power_plateau(r, M)
-        try:
-            probe = lg.feasibility_probe(pot, rho)
-        except RuntimeError:  # the closed forms fail the m = 2048 grid cross-check
-            assume(False)
+        probe = lg.feasibility_probe(pot, rho)
         if probe.interior:
             left, right, _, _ = transition.spectral_slopes(lg.cell_kernel(pot, 256), rho)
             assert math.isfinite(left) and math.isfinite(right)
