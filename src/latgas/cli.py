@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -150,12 +151,13 @@ def _json_record(result) -> str:
 
 
 def _plain(obj):
-    """JSON-ready copy: a dataclass becomes the dict of its fields, arrays and
-    tuples become lists, numpy scalars Python values, and a non-finite float
-    its repr ("nan", "inf", "-inf"), so the JSON stays standard."""
+    """JSON-ready copy: a dataclass becomes the dict of its fields, any mapping
+    (a solver certificate too) a dict, arrays and tuples lists, numpy scalars
+    Python values, and a non-finite float its repr ("nan", "inf", "-inf"), so
+    the JSON stays standard."""
     if dataclasses.is_dataclass(obj):
         return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
+    if isinstance(obj, Mapping):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (np.ndarray, np.generic)):
         obj = obj.tolist()

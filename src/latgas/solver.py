@@ -13,7 +13,8 @@ needing many halvings while it collapses towards the constant, infeasible off
 the curve, stops as "stalled" (the STALL_* constants).  The last accepted
 iterate, rolled back, is the seed's candidate, judged on the residual the
 solve already holds; a converged one carries a second-order certificate, the
-inertias of the even and the odd block of its KKT matrix.  solve_entropy runs
+inertias of the even and the odd block of its KKT matrix, computed when it is
+first read: scans and set-up solves read none.  solve_entropy runs
 that path from the k-bump seed family (constant plus cos(2 pi k x),
 k = 1..6) and keeps the candidate of maximal entropy, ties within 1e-9 going
 to the lower seed index.  The kernel spectrum picks the seeds
@@ -26,6 +27,7 @@ and where no lambda_k has that sign the constant alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,8 +65,10 @@ class SolveResult:
     iterations is (Newton iterations, backtracking halvings) of the seed's
     Newton-KKT run and stop why it ended: "tolerance", "iteration cap",
     "singular", "no descent" or "stalled".  certificate, None unless
-    converged, holds the (positive, negative, zero) inertia of the even and
-    of the odd KKT block, morse_index and licq; degenerate is not licq.
+    converged, is a read-only mapping of the (positive, negative, zero)
+    inertia of the even and of the odd KKT block, morse_index and licq;
+    degenerate is not licq.  Its two eigen-decompositions run on the first
+    read, once, so a caller that reads no certificate (a scan) pays for none.
     """
 
     profile: OccupancyProfile
@@ -78,7 +82,7 @@ class SolveResult:
     degenerate: bool
     candidates: tuple = ()
     stop: str = ""
-    certificate: dict | None = None
+    certificate: Mapping | None = None
 
 
 def _axis_roll(f: np.ndarray) -> int:
@@ -125,13 +129,16 @@ def _newton_kkt(At, w, target_xi, target_rho, g, beta, mu):
     """
     m, h = w.sum(), g.size
 
-    def residual(g, beta, mu):
+    def residual(g, beta, mu, R):
         Kg_m = (At @ g) / m
         s = expit(mu + beta * Kg_m)
-        R = np.concatenate([g - s, [w @ (g * Kg_m) / m - target_xi, w @ g / m - target_rho]])
-        return Kg_m, s, R, float(np.max(np.abs(R)))
+        np.subtract(g, s, out=R[:h])
+        R[h], R[h + 1] = w @ (g * Kg_m) / m - target_xi, w @ g / m - target_rho
+        return Kg_m, s, R, float(np.abs(R).max())
 
-    Kg_m, s, R, rn = residual(g, beta, mu)
+    # R holds the accepted iterate's residual, R_trial a line-search trial's
+    R, R_trial = np.empty(h + 2), np.empty(h + 2)
+    Kg_m, s, R, rn = residual(g, beta, mu, R)
     it = halvings = streak = 0
     stop = None
     J = np.zeros((h + 2, h + 2))
@@ -152,9 +159,9 @@ def _newton_kkt(At, w, target_xi, target_rho, g, beta, mu):
             break
         t = 1.0
         for tries in range(25):
-            trial = (np.clip(g + t * step[:h], 1e-14, 1.0 - 1e-14),
+            trial = (np.minimum(np.maximum(g + t * step[:h], 1e-14), 1.0 - 1e-14),
                      beta + t * step[h], mu + t * step[h + 1])
-            new = residual(*trial)
+            new = residual(*trial, R_trial)
             if new[3] < rn * (1.0 - 1e-4 * t) + 1e-15:
                 break
             t *= 0.5
@@ -162,6 +169,7 @@ def _newton_kkt(At, w, target_xi, target_rho, g, beta, mu):
         else:
             stop = "no descent"
             break
+        R_trial = R
         (g, beta, mu), (Kg_m, s, R, rn) = trial, new
         streak = streak + 1 if tries >= STALL_HALVINGS else 0
         if streak >= STALL_STREAK and abs(w @ hbin(g) / m - hbin(target_rho)) < STALL_GAP:
@@ -193,6 +201,37 @@ def _certificate(At, Ao, w, g, beta, Kg_m, licq: bool) -> dict:
         cert[name] = (int(np.sum((ev > 0) & ~zero)), int(np.sum((ev < 0) & ~zero)), int(zero.sum()))
     cert["morse_index"] = cert["even_inertia"][1] + cert["odd_inertia"][1] - (2 if licq else 1)
     return cert
+
+
+class _Certificate(Mapping):
+    """A candidate's certificate as a read-only mapping: _certificate runs on the first read.
+
+    It holds _certificate's arguments until then: the kernel's read-only folded
+    blocks and the candidate's own half profile, beta and Kg/m.
+    """
+
+    def __init__(self, *args):
+        self._args, self._cert = args, None
+
+    def _value(self) -> dict:
+        args = self._args
+        # _cert is set before _args is dropped, so a read in another thread sees
+        # one of them; two concurrent first reads may both compute the same dict
+        if args is not None:
+            self._cert, self._args = _certificate(*args), None
+        return self._cert
+
+    def __getitem__(self, key):
+        return self._value()[key]
+
+    def __iter__(self):
+        return iter(self._value())
+
+    def __len__(self):
+        return len(self._value())
+
+    def __repr__(self):
+        return repr(self._value())
 
 
 def solve_multipliers(K: KernelMatrix, target_xi: float, target_rho: float, seed) -> SolveResult:
@@ -238,7 +277,7 @@ def solve_multipliers(K: KernelMatrix, target_xi: float, target_rho: float, seed
         el_residual=el_res,
         degenerate=not licq,
         stop=stop,
-        certificate=_certificate(At, Ao, w, g, beta, Kg_m, licq) if converged else None,
+        certificate=_Certificate(At, Ao, w, g, beta, Kg_m, licq) if converged else None,
     )
 
 

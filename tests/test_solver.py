@@ -411,6 +411,76 @@ def test_certificate_matches_dense_at_odd_grid(pot_a2, k):
     assert res.certificate["odd_inertia"][2] == int(zero.sum())
 
 
+@pytest.fixture()
+def count_certificates(monkeypatch):
+    """The number of _certificate calls since the test began."""
+    calls = []
+    eager = solver._certificate
+
+    def counted(*args):
+        calls.append(args)
+        return eager(*args)
+
+    monkeypatch.setattr(solver, "_certificate", counted)
+    return calls
+
+
+class TestLazyCertificate:
+    def test_scan_reads_no_certificate(self, pot_a2, count_certificates):
+        # the scan's reference config: 7 solves, 16 converged candidates
+        scan = transition.scan_transition(pot_a2, RHO, (0.005, 0.01, 0.02), m=256)
+        assert all(p.converged for p in scan.points)
+        assert count_certificates == []
+
+    def test_one_certificate_per_converged_candidate(self, pot_a2, kernel256,
+                                                     count_certificates):
+        res = lg.solve_entropy(pot_a2, XI_CURVE + 0.02, RHO, m=256, kernel=kernel256)
+        assert count_certificates == []
+        certs = [c["certificate"] for c in res.candidates if c["converged"]]
+        assert len(certs) == 4  # seeds 2, 3, 4 and 6
+        # the winner and its own candidate entry share one certificate
+        assert sum(c is res.certificate for c in certs) == 1
+        first = [dict(c) for c in certs]
+        assert res.certificate["morse_index"] == 0
+        assert [dict(c) for c in certs] == first
+        assert len(count_certificates) == len(certs)
+
+    @pytest.mark.parametrize("m", [64, 129, 256])
+    @pytest.mark.parametrize("dxi,k", [(-0.02, 1), (0.0, 0), (0.02, 3)])
+    def test_equals_the_eager_certificate(self, pot_a2, monkeypatch, m, dxi, k):
+        # _certificate on the Newton solve's own output, taken when the solve
+        # ended, against the certificate read after the candidate is built
+        kkt = solver._newton_kkt
+        ended = []
+
+        def newton(*args):
+            out = kkt(*args)
+            ended.append((np.copy(out[0]), out[1], np.copy(out[3])))
+            return out
+
+        monkeypatch.setattr(solver, "_newton_kkt", newton)
+        K = lg.cell_kernel(pot_a2, m)
+        res = lg.solve_multipliers(K, XI_CURVE + dxi, RHO, lg.default_seeds(m, RHO)[k])
+        assert res.converged
+        (g, beta, Kg_m), = ended
+        eager = solver._certificate(*K.folded, g, beta, Kg_m, not res.degenerate)
+        assert dict(res.certificate) == eager
+        assert [type(v) for v in res.certificate.values()] == [type(v) for v in eager.values()]
+
+    def test_reads_as_a_dict(self, solve_below):
+        cert = solve_below.certificate
+        plain = {"licq": True, "even_inertia": (128, 2, 0), "odd_inertia": (127, 0, 1),
+                 "morse_index": 0}
+        assert cert == plain and plain == cert
+        assert cert != {**plain, "morse_index": 1}
+        assert repr(cert) == repr(plain)
+        assert list(cert) == list(plain) and len(cert) == 4
+        with pytest.raises(TypeError):
+            cert["licq"] = False
+        assert cli._plain(cert) == {**plain, "even_inertia": [128, 2, 0],
+                                    "odd_inertia": [127, 0, 1]}
+
+
 def loop_peak_count(s, thresh, tie_eps=1e-12):
     """Reference: cyclic local maxima above thresh, flat stretches carrying the
     previous slope sign, counted with plain loops."""
@@ -485,6 +555,21 @@ class TestOptimizerInvariants:
         el = float(np.max(np.abs(prof.values - expit(mult.mu + mult.beta * field))))
         assert abs(res.el_residual - el) < 1e-12
         assert res.degenerate == bool(np.max(np.abs(field - target / RHO)) < 1e-6)
+
+    @pytest.mark.parametrize("k,stop", [(3, "stalled"), (5, "no descent")])
+    def test_failed_seed_judged_at_its_last_accepted_iterate(self, kernel256, k, stop):
+        # a seed whose line search fails is judged on the residual of its last
+        # accepted iterate, not on that of a rejected trial
+        from scipy.special import expit
+        target = XI_CURVE - 0.02
+        res = lg.solve_multipliers(kernel256, target, RHO, lg.default_seeds(256, RHO)[k])
+        assert res.stop == stop and not res.converged
+        prof, mult = res.profile, res.multipliers
+        assert abs(res.residuals[0] - abs(lg.xi(prof, kernel256) - target)) < 1e-14
+        assert abs(res.residuals[1] - abs(lg.density_N(prof) - RHO)) < 1e-16
+        field = lg.apply_kernel(kernel256, prof)
+        el = float(np.max(np.abs(prof.values - expit(mult.mu + mult.beta * field))))
+        assert abs(res.el_residual - el) < 1e-14
 
     def test_fixed_point_consistency(self, kernel256, solve_below):
         from scipy.special import expit
