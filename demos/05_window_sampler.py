@@ -4,7 +4,8 @@
 Samples the microcanonical window just above the transition curve at
 n = 512, seeding the chains with the rounded continuum optimizer, and
 measures the shift-minimized L1 distance between the aligned mean profile
-and the optimizer.  Takes about 12 s: 11 and 12 s wall in two runs on a 2-core Xeon.
+and the optimizer.  Takes about 8 s: 7.0 to 8.4 s wall in three runs on a
+2-core Xeon with one BLAS thread.
 """
 
 import latgas as lg

@@ -2,15 +2,17 @@
 
 Configs are plain-text key=value files with [section] headers.  Each setting
 is declared once, in SETTINGS: it is a flag of each command that reads it and
-a key of its section, and the flag wins.  Every CSV record is written by
-functional.csv_text (floats at 12 significant digits); solve, scan and sample
-also write a JSON record of their result's fields, whose meta block is the
-only place a timestamp appears.
+a key of its section, and the flag wins.  The [potential] block is read once,
+by read_potential: its kind names the keys it takes (POTENTIAL_KEYS).  Every
+CSV record is written by functional.csv_text (floats at 12 significant
+digits); solve, scan and sample also write a JSON record of their result's
+fields, whose meta block is the only place a timestamp appears.
 
 Exit codes: 0 success, 1 internal error, 2 infeasible/unconverged, 3 config
-error (a bad config file, an unknown section or key, an unreadable profile
-CSV, an --out that cannot be made a directory, or input the library rejects
-with ValueError).  main makes the --out directory before the command runs.
+error (a bad config file, an unknown section or key, a [potential] key of
+another kind, an unreadable profile CSV, an --out that cannot be made a
+directory, or input the library rejects with ValueError).  main makes the
+--out directory before the command runs.
 """
 
 from __future__ import annotations
@@ -49,18 +51,18 @@ SETTINGS = {
     "seed": ("run", int, 1, "64-bit RNG seed"),
 }
 
-# the keys each config section takes
-SECTION_KEYS = {"potential": potential.CONFIG_KEYS,
-                **{section: {key for key, row in SETTINGS.items() if row[0] == section}
-                   for section, *_ in SETTINGS.values()}}
+# the keys each settings section takes
+SECTION_KEYS = {section: {key for key, row in SETTINGS.items() if row[0] == section}
+                for section, *_ in SETTINGS.values()}
+
+# the [potential] keys each kind reads besides kind; any kind also takes the
+# legacy periodic (true only) and d (1 only)
+POTENTIAL_KEYS = {potential.POWER_PLATEAU: ("r", "M"), potential.CONSTANT: ("J",),
+                  potential.TABULATED: ("samples",)}
 
 
 class ConfigError(ValueError):
     """Raised for unparseable or inconsistent run configuration."""
-
-
-class InfeasibleError(RuntimeError):
-    """Raised when a requested computation has no converged answer."""
 
 
 def fmt(x) -> str:
@@ -99,6 +101,8 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}")
     sections = parse_config(p.read_text())
     for name, block in sections.items():
+        if name == "potential":
+            continue  # its keys depend on its kind: read_potential checks them
         if name not in SECTION_KEYS:
             raise ConfigError(f"unknown config section [{name}]")
         for key in block:
@@ -107,13 +111,36 @@ def load_config(path: str | None) -> dict:
     return sections
 
 
-def _potential_from(sections: dict) -> potential.Potential:
+def read_potential(sections: dict) -> potential.Potential:
+    """The Potential of the [potential] block.
+
+    The block holds kind and the keys of that kind in POTENTIAL_KEYS, plus the
+    optional periodic (true, 1 or yes) and d (1); a missing key or any other
+    one, of another kind too, is refused, so none is silently ignored.
+    Tabulated knots are written t:value;t:value;...  Potential checks values.
+    """
     block = sections.get("potential")
     if not block:
         raise ConfigError("missing [potential] section")
+    kind = block.get("kind")
+    if kind not in POTENTIAL_KEYS:
+        raise ConfigError(f"[potential] kind must be one of {', '.join(POTENTIAL_KEYS)}, "
+                          f"got {kind!r}")
+    keys = POTENTIAL_KEYS[kind]
+    if block.keys() - {"periodic", "d"} != {"kind", *keys}:
+        raise ConfigError(f"[potential] of kind {kind} needs the keys kind, {', '.join(keys)} "
+                          f"(periodic and d optional), got {', '.join(block)}")
     try:
-        return potential.from_mapping(block)
-    except (KeyError, ValueError) as exc:
+        if block.get("periodic", "true").lower() not in ("true", "1", "yes"):
+            raise ValueError(f"only periodic boundaries are supported, "
+                             f"got periodic = {block['periodic']!r}")
+        if int(block.get("d", "1")) != 1:
+            raise ValueError(f"potentials are one dimensional, got d = {block['d']}")
+        if kind == potential.TABULATED:
+            knots = (item.split(":") for item in block["samples"].split(";"))
+            return potential.Potential.tabulated([(float(t), float(v)) for t, v in knots])
+        return potential.Potential(kind, **{key: float(block[key]) for key in keys})
+    except ValueError as exc:
         raise ConfigError(f"bad [potential] section: {exc}") from exc
 
 
@@ -203,10 +230,7 @@ def cmd_scan(args, pot, grid, rho, deltas) -> int:
 def cmd_sample(args, pot, xi, rho, delta, n, steps, chains, seed) -> int:
     window = ensemble.EnsembleWindow(xi=xi, rho=rho, delta=delta)
     init = _read_profile(args.init_profile) if args.init_profile else None
-    try:
-        stats = ensemble.mcmc_sample(n, pot, window, steps, chains, seed, init=init)
-    except RuntimeError as exc:  # the anneal found no state in the energy window
-        raise InfeasibleError(str(exc)) from exc
+    stats = ensemble.mcmc_sample(n, pot, window, steps, chains, seed, init=init)
     (args.out / "mcmc_stats.json").write_text(_json_record(stats))
     (args.out / "mean_profile.csv").write_text(functional.profile_to_csv(stats.mean_profile))
     print(f"acceptance_rate={fmt(stats.acceptance_rate)} "
@@ -282,14 +306,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         sections = load_config(args.config)
-        pot = _potential_from(sections)
+        pot = read_potential(sections)
         settings = _settings(args, sections)
         try:
             args.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create the output directory {args.out}: {exc}") from exc
         return args.fn(args, pot, **settings)
-    except (InfeasibleError, transition.UnscannableCurve) as exc:
+    except (ensemble.UnreachableWindow, transition.UnscannableCurve) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ValueError as exc:  # ConfigError and the library's input checks

@@ -26,11 +26,16 @@ from .functional import OccupancyProfile, block_average, make_profile
 from .potential import Potential, pair_row
 
 ENUM_CAP = 24
+SAMPLE_CAP = 4096  # the sampler's dense n x n pair table takes 8 n^2 bytes, 128 MB at the cap
 BURN_IN = 0.2  # fraction of each chain discarded before averaging
 ANNEAL_TRIES_PER_SITE = 500  # proposals per site of the greedy walk and of each restart
 ANNEAL_RESTARTS = 2  # random restarts, with sideways moves, after the greedy walk stalls
 TIE_MARGIN = 1e-9  # shifts within this fraction of the best correlation defer to the FFT
 DRAW_CHUNK = 4096  # proposals whose swap indices are drawn in one block
+
+
+class UnreachableWindow(RuntimeError):
+    """Raised when the anneal finds no state in the energy window."""
 
 
 @dataclass(frozen=True)
@@ -179,8 +184,12 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     unaligned chain means stay sharp), and chain means are re-aligned onto
     each other before merging.  The mean profile is finally rolled so its
     peak sits at the center cell.  A chain that meets n rejections in a row
-    sets the stats' stuck_warning.
+    sets the stats' stuck_warning.  An n above SAMPLE_CAP is refused before
+    any table is built; a chain that cannot be annealed into the window
+    raises UnreachableWindow.
     """
+    if n > SAMPLE_CAP:
+        raise ValueError(f"the sampler takes at most {SAMPLE_CAP} sites, got n = {n}")
     if steps < 1 or chains < 1:
         raise ValueError("steps and chains must be at least 1")
     particles, lo, hi = window.bounds(n)
@@ -305,7 +314,8 @@ def _anneal_into_window(psi: np.ndarray, k: int, lo: float, hi: float,
     batch of 32 random swaps when it brings the energy closer to the window
     centre.  After ANNEAL_TRIES_PER_SITE * n proposals outside the window it
     starts again, up to ANNEAL_RESTARTS times, now also taking a sideways move
-    (the batch's last swap) when no swap of the batch is closer; then it raises.
+    (the batch's last swap) when no swap of the batch is closer; then it
+    raises UnreachableWindow.
     """
     n = psi.shape[0]
     center = 0.5 * (lo + hi)
@@ -336,7 +346,7 @@ def _anneal_into_window(psi: np.ndarray, k: int, lo: float, hi: float,
             E += dE
         if lo < E < hi:
             return occ, s, float(E)
-    raise RuntimeError(
+    raise UnreachableWindow(
         f"could not anneal into the energy window ({lo:.6g}, {hi:.6g}); stuck at {E:.6g}")
 
 

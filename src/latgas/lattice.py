@@ -73,7 +73,7 @@ def riemann_discrepancy(n: int, pot: Potential) -> float:
     Both tables are circulant in the site offset k, so the double sum is the
     quadratic form of the row |pair_row - kernel_row| at the all-ones vector,
     whose pair sums count how often each offset occurs: n times.  The work
-    is O(n log n), so n has no cap.
+    is O(n), so n has no cap.
     """
     gap = np.abs(pair_row(pot, n) - kernel_row(pot, n))
-    return float(np.rint(lag_sums(np.ones(n))) @ gap) / (n * n)
+    return float(np.full(n, float(n)) @ gap) / (n * n)

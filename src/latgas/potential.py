@@ -42,9 +42,6 @@ TABULATED = "tabulated"
 
 _KINDS = (POWER_PLATEAU, CONSTANT, TABULATED)
 
-# the keys a [potential] config section may hold; periodic may only be true
-CONFIG_KEYS = frozenset({"kind", "r", "M", "J", "samples", "periodic", "d"})
-
 # piecewise breakpoints of the power-law/plateau profile
 _CORE_END = 0.25
 _HALF = 0.5
@@ -299,37 +296,3 @@ def lag_sums(values) -> np.ndarray:
     spec = np.fft.rfft(values)
     return np.fft.irfft(spec * np.conj(spec), n)
 
-
-# --- plain-text config block ----------------------------------------------
-
-def from_mapping(fields: dict) -> Potential:
-    """Build a Potential from a parsed key/value mapping.
-
-    The optional key ``d`` is the dimension; it must be 1.  The optional key
-    ``periodic`` must be true (``true``, ``1`` or ``yes``): boundaries are
-    always periodic.  Keys outside CONFIG_KEYS are refused, so a misspelt key
-    cannot fall back to a default.
-    """
-    unknown = sorted(set(fields) - CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}")
-    try:
-        kind = fields["kind"]
-    except KeyError:
-        raise ValueError("potential block is missing 'kind'") from None
-    if fields.get("periodic", "true").strip().lower() not in ("true", "1", "yes"):
-        raise ValueError(f"only periodic boundaries are supported, got periodic = "
-                         f"{fields['periodic']!r}")
-    if int(fields.get("d", 1)) != 1:
-        raise ValueError(f"potentials are one dimensional, got d = {fields['d']}")
-    if kind == POWER_PLATEAU:
-        return Potential.power_plateau(float(fields["r"]), float(fields["M"]))
-    if kind == CONSTANT:
-        return Potential.constant(float(fields["J"]))
-    if kind == TABULATED:
-        pairs = []
-        for item in fields["samples"].split(";"):
-            t, v = item.split(":")
-            pairs.append((float(t), float(v)))
-        return Potential.tabulated(pairs)
-    raise ValueError(f"unknown potential kind {kind!r}")

@@ -27,7 +27,7 @@ from .functional import (
     xi,
 )
 from .potential import POWER_PLATEAU, KernelMatrix, Potential, cell_kernel, integrated_interaction
-from .solver import solve_entropy
+from .solver import DEFAULT_GRID, solve_entropy
 
 KINK_SLACK = 1e-4  # tolerance of the scan's entropy-drop check
 
@@ -173,7 +173,7 @@ def spectral_slopes(K: KernelMatrix, rho: float) -> tuple[float, float, int, int
     return left, right, int(np.argmin(lam)) + 1, int(np.argmax(lam)) + 1
 
 
-def scan_transition(pot: Potential, rho: float, deltas, m: int = 256) -> TransitionScan:
+def scan_transition(pot: Potential, rho: float, deltas, m: int = DEFAULT_GRID) -> TransitionScan:
     """Solve S(xi, rho) on and around the curve xi = lambda rho^2.
 
     Requires rho in (0, 1); a kernel spectrum without both a negative and a

@@ -1,12 +1,19 @@
 """End-to-end CLI runs: configs in, records out, exit codes as documented."""
 
 import argparse
+import contextlib
+import io
 import json
+import string
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from latgas import cli, ensemble, functional, solver, transition
+import latgas as lg
+from latgas import cli, ensemble, functional, potential, solver, transition
 
 CONFIG = """\
 [potential]
@@ -35,6 +42,66 @@ def cfg(tmp_path):
 
 def run(args):
     return cli.main(args)
+
+
+def config_block(pot):
+    """The README's documented ``[potential]`` block for pot, one key = value a line."""
+    lines = ["[potential]", f"kind = {pot.kind}"]
+    if pot.kind == potential.POWER_PLATEAU:
+        lines += [f"r = {pot.r!r}", f"M = {pot.M!r}"]
+    elif pot.kind == potential.CONSTANT:
+        lines.append(f"J = {pot.J!r}")
+    else:
+        lines.append("samples = " + ";".join(f"{t!r}:{v!r}" for t, v in pot.samples))
+    return "\n".join(lines) + "\n"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# strictly increasing knot positions in [0, 1], each with a finite value
+KNOTS = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6, unique=True).flatmap(
+    lambda ts: st.lists(FINITE, min_size=len(ts), max_size=len(ts)).map(
+        lambda vs: list(zip(sorted(ts), vs))))
+
+# a well-formed [potential] block of each kind, less its kind key
+WELL_FORMED = {"power_plateau": {"r": "0.5", "M": "10"}, "constant": {"J": "3.0"},
+               "tabulated": {"samples": "0:2;0.15:-1;0.3:1.5;0.5:0.2"}}
+BAD_KNOTS = ["0:1", "", "0:1;", "0:1;0.5", "0:1:2;1:1", "0.5:1;0.5:2", "-0.1:1;0.5:1",
+             "0:1;1.5:2", "0:nan;1:1", "0:1;inf:1", "a:1;1:1"]
+
+
+@st.composite
+def malformed_blocks(draw):
+    """A [potential] block with one fault: a key missing, unknown or of another kind,
+    a value that is not a finite number, a bad knot list, d != 1 or periodic false."""
+    kind = draw(st.sampled_from(sorted(WELL_FORMED)))
+    block = {"kind": kind, **WELL_FORMED[kind]}
+    fault = draw(st.sampled_from(["missing", "unknown", "other-kind", "value", "knots", "d",
+                                  "periodic"]))
+    if fault == "missing":
+        del block[draw(st.sampled_from(sorted(block)))]
+    elif fault == "unknown":
+        known = {"kind", "periodic", "d", *(k for keys in WELL_FORMED.values() for k in keys)}
+        key = draw(st.text(string.ascii_letters, min_size=1, max_size=8).filter(
+            lambda k: k not in known))
+        block[key] = draw(st.sampled_from(["1", "true", "0:1;1:1"]))
+    elif fault == "other-kind":
+        other = draw(st.sampled_from(sorted(set(WELL_FORMED) - {kind})))
+        key = draw(st.sampled_from(sorted(WELL_FORMED[other])))
+        block[key] = WELL_FORMED[other][key]
+    elif fault == "value":
+        key = draw(st.sampled_from(sorted(block)))
+        block[key] = draw(st.sampled_from(["", "x", "1,5", "nan", "inf", "-inf", "1e999"]))
+    elif fault == "knots":
+        ts = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5, unique=True))
+        decreasing = ";".join(f"{t!r}:1.0" for t in sorted(ts, reverse=True))
+        block = {"kind": "tabulated",
+                 "samples": draw(st.sampled_from([*BAD_KNOTS, decreasing]))}
+    elif fault == "d":
+        block["d"] = draw(st.one_of(st.integers().filter(lambda d: d != 1).map(str),
+                                    st.sampled_from(["1.0", "one", ""])))
+    else:
+        block["periodic"] = draw(st.sampled_from(["false", "False", "0", "no", "off", "2", ""]))
+    return "[potential]\n" + "".join(f"{key} = {value}\n" for key, value in block.items())
 
 
 class TestLambda:
@@ -134,6 +201,29 @@ class TestSampleAndEnumerate:
         assert rc == 2
         assert "anneal" in capsys.readouterr().err
 
+    def test_other_runtime_error_is_internal(self, cfg, tmp_path, capsys, monkeypatch):
+        # only the anneal's UnreachableWindow means infeasible
+        def fail(*args, **kwargs):
+            raise RuntimeError("not the anneal")
+
+        monkeypatch.setattr(ensemble, "mcmc_sample", fail)
+        rc = run(["sample", "--config", cfg, "--n", "32", "--steps", "10",
+                  "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "internal error: RuntimeError: not the anneal" in capsys.readouterr().err
+
+    def test_sample_above_the_cap_refused(self, cfg, tmp_path, capsys, monkeypatch):
+        # the cap is checked before the dense n x n table, which must not be built
+        def no_table(row):
+            raise AssertionError(f"a {len(row)}-site pair table was built")
+
+        monkeypatch.setattr(ensemble, "toeplitz", no_table)
+        rc = run(["sample", "--config", cfg, "--n", str(ensemble.SAMPLE_CAP + 1),
+                  "--steps", "10", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert f"config error: the sampler takes at most {ensemble.SAMPLE_CAP} sites" in \
+            capsys.readouterr().err
+
     def test_enumerate_record(self, cfg, tmp_path, capsys):
         out = tmp_path / "o"
         rc = run(["enumerate", "--config", cfg, "--n", "12", "--xi", "0.4375",
@@ -196,6 +286,66 @@ class TestFeasibilityAndEval:
         text = capsys.readouterr().out
         assert "xi=0.3703" in text
         assert "N=0.23" in text
+
+
+class TestPotentialBlock:
+    @pytest.mark.parametrize("pot", [
+        lg.Potential.power_plateau(0.5, 10.0),
+        lg.Potential.constant(3.0),
+        lg.Potential.tabulated([(0.0, 0.0), (0.5, 2.0)]),
+    ])
+    def test_config_roundtrip(self, pot):
+        assert cli.read_potential(cli.parse_config(config_block(pot))) == pot
+
+    @given(st.one_of(
+        st.builds(lg.Potential.power_plateau,
+                  st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                  st.floats(0.0, 1e6, exclude_min=True)),
+        st.builds(lg.Potential.constant, FINITE),
+        st.builds(lg.Potential.tabulated, KNOTS),
+    ))
+    def test_config_roundtrip_property(self, pot):
+        # the documented keys rebuild every potential, values written as repr
+        assert cli.read_potential(cli.parse_config(config_block(pot))) == pot
+
+    def test_unknown_key_refused(self):
+        with pytest.raises(cli.ConfigError, match="perodic"):
+            cli.read_potential({"potential": {"kind": "constant", "J": "1.0", "perodic": "false"}})
+
+    def test_config_format(self, pot_a2):
+        # the README's example [potential] block builds the reference potential
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("Example config:\n\n```ini\n", 1)[1].split("```", 1)[0]
+        assert cli.read_potential(cli.parse_config(example)) == pot_a2
+
+    def test_requires_d1(self):
+        block = {"kind": "constant", "J": "1.0"}
+        assert cli.read_potential({"potential": {**block, "d": "1"}}) == \
+            cli.read_potential({"potential": block})
+        with pytest.raises(cli.ConfigError, match="one dimensional"):
+            cli.read_potential({"potential": {**block, "d": "2"}})
+
+    def test_key_of_another_kind_refused(self, tmp_path, capsys):
+        # r and M were once ignored here, and lambda = 3 printed
+        path = tmp_path / "mixed.cfg"
+        path.write_text("[potential]\nkind = constant\nJ = 3.0\nr = 0.3\nM = 5\n")
+        assert run(["lambda", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: [potential] of kind constant" in captured.err
+        assert "got kind, J, r, M" in captured.err
+
+    @given(malformed_blocks())
+    def test_malformed_block_is_config_error(self, tmp_path_factory, text):
+        # tmp_path and capsys are per test, not per example, so neither is used here
+        path = tmp_path_factory.mktemp("malformed") / "bad.cfg"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+            rc = run(["lambda", "--config", str(path), "--out", str(path.parent / "o")])
+        assert (rc, out.getvalue()) == (3, ""), text
+        assert err.getvalue().startswith("config error: "), (text, err.getvalue())
+        assert not (path.parent / "o").exists()
 
 
 class TestConfigErrors:

@@ -1,7 +1,5 @@
 """Potential evaluation, integrated interaction, and kernel assembly."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,19 +8,7 @@ from scipy import integrate
 from scipy.linalg import toeplitz
 
 import latgas as lg
-from latgas import cli, potential
-
-
-def config_block(pot):
-    """The README's documented ``[potential]`` block for pot, one key = value a line."""
-    lines = ["[potential]", f"kind = {pot.kind}"]
-    if pot.kind == potential.POWER_PLATEAU:
-        lines += [f"r = {pot.r!r}", f"M = {pot.M!r}"]
-    elif pot.kind == potential.CONSTANT:
-        lines.append(f"J = {pot.J!r}")
-    else:
-        lines.append("samples = " + ";".join(f"{t!r}:{v!r}" for t, v in pot.samples))
-    return "\n".join(lines) + "\n"
+from latgas import potential
 
 
 def quad_lambda(pot):
@@ -179,13 +165,6 @@ class TestCellKernel:
         assert len(calls) == 1
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-# strictly increasing knot positions in [0, 1], each with a finite value
-KNOTS = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6, unique=True).flatmap(
-    lambda ts: st.lists(FINITE, min_size=len(ts), max_size=len(ts)).map(
-        lambda vs: list(zip(sorted(ts), vs))))
-
-
 class TestKernelRowMean:
     @given(POTENTIALS, st.integers(2, 200))
     def test_row_mean_is_lambda(self, pot, m):
@@ -213,38 +192,3 @@ class TestValidationAndConfig:
         for knots in ([(0.0, float("nan")), (1.0, 1.0)], [(0.0, 1.0), (float("inf"), 1.0)]):
             with pytest.raises(ValueError, match="finite"):
                 lg.Potential.tabulated(knots)
-
-    @pytest.mark.parametrize("pot", [
-        lg.Potential.power_plateau(0.5, 10.0),
-        lg.Potential.constant(3.0),
-        lg.Potential.tabulated([(0.0, 0.0), (0.5, 2.0)]),
-    ])
-    def test_config_roundtrip(self, pot):
-        assert potential.from_mapping(cli.parse_config(config_block(pot))["potential"]) == pot
-
-    @given(st.one_of(
-        st.builds(lg.Potential.power_plateau,
-                  st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-                  st.floats(0.0, 1e6, exclude_min=True)),
-        st.builds(lg.Potential.constant, FINITE),
-        st.builds(lg.Potential.tabulated, KNOTS),
-    ))
-    def test_config_roundtrip_property(self, pot):
-        # the documented keys rebuild every potential, values written as repr
-        assert potential.from_mapping(cli.parse_config(config_block(pot))["potential"]) == pot
-
-    def test_unknown_key_refused(self):
-        with pytest.raises(ValueError, match="perodic"):
-            potential.from_mapping({"kind": "constant", "J": "1.0", "perodic": "false"})
-
-    def test_config_format(self, pot_a2):
-        # the README's example [potential] block builds the reference potential
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        example = readme.split("Example config:\n\n```ini\n", 1)[1].split("```", 1)[0]
-        assert potential.from_mapping(cli.parse_config(example)["potential"]) == pot_a2
-
-    def test_requires_d1(self):
-        block = {"kind": "constant", "J": "1.0"}
-        assert potential.from_mapping({**block, "d": "1"}) == potential.from_mapping(block)
-        with pytest.raises(ValueError, match="one dimensional"):
-            potential.from_mapping({**block, "d": "2"})
