@@ -21,7 +21,12 @@ to the lower seed index.  The kernel spectrum picks the seeds
 (spectral_seeds): near the constant a mode-k perturbation of amplitude eps
 moves xi by about eps^2 lambda_k, so on the curve the constant runs alone
 first, off it the seeds whose lambda_k has the sign of xi - lambda_0 rho^2,
-and where no lambda_k has that sign the constant alone.
+and where no lambda_k has that sign the constant alone.  The pure mode
+rho + eps cos(2 pi k x) stays in [0, 1] only for eps <= min(rho, 1 - rho),
+so it moves xi by at most |lambda_k| min(rho, 1 - rho)^2 / 2: a seed whose
+bound falls short of |xi - lambda_0 rho^2| is out of reach and runs only in
+the fallback batch, when some seed within reach exists.  check_grid refuses
+a grid above GRID_CAP before solve_entropy or a scan builds a kernel on it.
 """
 
 from __future__ import annotations
@@ -49,6 +54,10 @@ NEWTON_MAX_ITER = 60
 NOISE_FLOOR = 1e-6
 PEAK_TIE_EPS = 1e-12
 STALL_STREAK, STALL_HALVINGS, STALL_GAP = 4, 15, 1e-3
+# KernelMatrix.folded holds two dense h x h blocks, h = ceil(m/2), of 8 h^2 bytes
+# each: 34 MB at the cap, 20 GB at m = 100001.  Their build and the Newton
+# Jacobian take about three more, so a solve at the cap peaks near 170 MB.
+GRID_CAP = 4096
 _BUMP_MODES = range(1, 7)  # the k of the k-bump seeds
 
 
@@ -308,6 +317,15 @@ def spectral_seeds(K: KernelMatrix, xi_target: float, rho: float) -> list[list[i
     sign, xi(f) - lambda_0 N(f)^2 = sum_k lambda_k |f_k|^2 / m^2 has the other
     sign for every profile, so the target is infeasible and the constant alone
     runs.
+
+    Reach: rho + eps cos(2 pi k x) lies in [0, 1] only for
+    eps <= min(rho, 1 - rho), and it moves xi by lambda_k eps^2 / 2, so a pure
+    mode-k profile gets no further from the curve than
+    |lambda_k| min(rho, 1 - rho)^2 / 2.  The same-sign seeds within that reach
+    of the target form the first batch; those out of reach lead the second,
+    ahead of the constant.  When none is within reach the first batch keeps
+    them all.  No seed is dropped: the bound covers the pure mode, not the
+    branch Newton follows from it.
     """
     lam = K.spectrum
     dxi = xi_target - rho * rho * lam[0]
@@ -315,9 +333,18 @@ def spectral_seeds(K: KernelMatrix, xi_target: float, rho: float) -> list[list[i
         return [[0], list(_BUMP_MODES)]
     if not np.any(lam[1:] * dxi > 0.0):
         return [[0]]
-    first = [k for k in _BUMP_MODES
-             if 2 * k % K.m and lam[min(k % K.m, -k % K.m)] * dxi > 0.0]
-    return [first, [0] + [k for k in _BUMP_MODES if k not in first]]
+    lam_k = {k: lam[min(k % K.m, -k % K.m)] for k in _BUMP_MODES}
+    same = [k for k in _BUMP_MODES if 2 * k % K.m and lam_k[k] * dxi > 0.0]
+    eps = min(rho, 1.0 - rho)  # the largest amplitude of a pure mode inside [0, 1]
+    first = [k for k in same if 2.0 * abs(dxi) <= abs(lam_k[k]) * eps * eps] or same
+    return [first, [k for k in same if k not in first]
+            + [0] + [k for k in _BUMP_MODES if k not in same]]
+
+
+def check_grid(m: int) -> None:
+    """Refuse a grid above GRID_CAP with ValueError, before any kernel on it is built."""
+    if m > GRID_CAP:
+        raise ValueError(f"the solver takes at most {GRID_CAP} grid cells, got m = {m}")
 
 
 def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT_GRID,
@@ -338,8 +365,10 @@ def solve_entropy(pot: Potential, xi_target: float, rho: float, m: int = DEFAULT
 
     A given kernel saves rebuilding the table across calls and must be
     cell_kernel(pot, m): one on another grid raises ValueError; that it was
-    built from pot is not checked.
+    built from pot is not checked.  An m above GRID_CAP raises ValueError
+    (check_grid) before any kernel is built.
     """
+    check_grid(m)
     K = kernel if kernel is not None else cell_kernel(pot, m)
     if K.m != m:
         raise ValueError(f"kernel is on m = {K.m} cells, not m = {m}; pass cell_kernel(pot, m)")

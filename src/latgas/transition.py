@@ -27,7 +27,7 @@ from .functional import (
     xi,
 )
 from .potential import POWER_PLATEAU, KernelMatrix, Potential, cell_kernel, integrated_interaction
-from .solver import DEFAULT_GRID, solve_entropy
+from .solver import DEFAULT_GRID, check_grid, solve_entropy
 
 KINK_SLACK = 1e-4  # tolerance of the scan's entropy-drop check
 
@@ -176,7 +176,8 @@ def spectral_slopes(K: KernelMatrix, rho: float) -> tuple[float, float, int, int
 def scan_transition(pot: Potential, rho: float, deltas, m: int = DEFAULT_GRID) -> TransitionScan:
     """Solve S(xi, rho) on and around the curve xi = lambda rho^2.
 
-    Requires rho in (0, 1); a kernel spectrum without both a negative and a
+    Requires rho in (0, 1) and m at most solver.GRID_CAP, both checked before
+    the kernel is built; a kernel spectrum without both a negative and a
     positive lambda_k, k >= 1, raises UnscannableCurve before any solve.  For
     each delta the scan solves at xi = lambda rho^2 +/- delta, estimates the
     one-sided slopes by Richardson extrapolation of the two smallest secants,
@@ -196,6 +197,7 @@ def scan_transition(pot: Potential, rho: float, deltas, m: int = DEFAULT_GRID) -
         raise ValueError("deltas must be distinct and must move xi0 = lambda rho^2: a "
                          "repeated or vanishing offset leaves no secant gap")
     c = convexity_gap_constant(rho)
+    check_grid(m)
     K = cell_kernel(pot, m)
     spec_left, spec_right, k_below, k_above = spectral_slopes(K, rho)
     if math.isnan(spec_left) or math.isnan(spec_right):

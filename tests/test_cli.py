@@ -515,6 +515,21 @@ class TestInputErrors:
         assert run(args + ["--out", str(tmp_path / "o")]) == 3
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [["solve", "--xi", "0.39", "--rho", "0.23"],
+                                      ["scan", "--rho", "0.23", "--deltas", "0.01"]],
+                             ids=["solve", "scan"])
+    def test_grid_above_the_cap_refused(self, cfg, tmp_path, capsys, monkeypatch, args):
+        # the cap is checked before the folded kernel blocks, which must not be built
+        def no_blocks(K):
+            raise AssertionError(f"the folded blocks of an m = {K.m} kernel were built")
+
+        monkeypatch.setattr(potential.KernelMatrix, "folded", property(no_blocks))
+        rc = run([*args, "--config", cfg, "--grid", str(solver.GRID_CAP + 1),
+                  "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert f"config error: the solver takes at most {solver.GRID_CAP} grid cells, " \
+            f"got m = {solver.GRID_CAP + 1}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
     def test_out_that_cannot_be_a_directory(self, cfg, tmp_path, capsys, sub):
         (tmp_path / "taken").write_text("")

@@ -125,12 +125,13 @@ class TestSolveEntropy:
         assert family_above.entropy_S == max(c["entropy_S"] for c in cands if c["converged"])
 
     def test_spectral_seeds_run(self, pot_a2, kernel256, solve_below, solve_above):
-        # at m = 256 lambda_1 and lambda_5 are negative, lambda_2, 3, 4 and 6 positive:
-        # below the curve the seeds k = 1, 5 run, above it k = 2, 3, 4, 6
+        # at m = 256 lambda_1 and lambda_5 are negative, lambda_2, 3, 4 and 6 positive;
+        # seed 5 reaches |dxi| <= |lambda_5| min(rho, 1 - rho)^2 / 2 = 1.7e-3 only, so
+        # below the curve seed 1 runs alone; above it, at +0.02, only seed 3 reaches
         lam = kernel256.spectrum
         assert [k for k in range(1, 7) if lam[k] < 0.0] == [1, 5]
-        assert [c["seed"] for c in solve_below.candidates] == [1, 5]
-        assert [c["seed"] for c in solve_above.candidates] == [2, 3, 4, 6]
+        assert [c["seed"] for c in solve_below.candidates] == [1]
+        assert [c["seed"] for c in solve_above.candidates] == [3]
         assert solve_below.stop == solve_above.stop == "tolerance"
         # on 5 cells the seeds k = 4 and 6 excite mode 1 and k = 3 mode 2, while
         # k = 5 is the constant rho / 2 on every cell: never picked, only run in the rest
@@ -322,6 +323,10 @@ def flat_spectrum(m):
         lg.make_profile(np.full(m, 0.5))
 
 
+# the reference kernel, with no profile: the example draws of test_reach
+REFERENCE = (lg.cell_kernel(lg.Potential.power_plateau(0.5, 10.0), 256), None)
+
+
 class TestSeedRule:
     @given(spectra_and_profiles())
     def test_no_sign_bounds_the_energy(self, kf):
@@ -354,6 +359,44 @@ class TestSeedRule:
         # off the curve no seed picked first is constant on the grid, up to rounding
         family = lg.default_seeds(K.m, rho)
         assert no_sign or all(np.ptp(family[k].values) >= 1e-12 for k in batches[0])
+
+    @given(spectra_and_profiles(), st.floats(0.05, 0.95), st.sampled_from([1.0, -1.0]),
+           st.floats(0.01, 1.5))
+    # the reference kernel at dxi = -0.0202 (seed 1 within reach, seed 5 not),
+    # +0.0043 (seeds 2, 3, 4, 6) and +0.0202 (seed 3 alone)
+    @example(REFERENCE, RHO, -1.0, 0.47)
+    @example(REFERENCE, RHO, 1.0, 0.1)
+    @example(REFERENCE, RHO, 1.0, 0.47)
+    def test_reach(self, kf, rho, sign, share):
+        # a pure mode rho + eps cos(2 pi k x) stays in [0, 1] for eps <= min(rho, 1 - rho)
+        # and moves xi by lambda_k eps^2 / 2: the seeds that can reach the target run
+        # first, the same-sign seeds that cannot lead the fallback batch.  The offset
+        # is drawn as a share of the largest seed mode's reach, so that draws fall on
+        # both sides of the seeds' bounds
+        K, _ = kf
+        lam = K.spectrum
+        # the seeds' folded lambda_k: seed k excites mode k mod m
+        lam_k = [lam[min(k % K.m, -k % K.m)] for k in range(7)]
+        eps2 = min(rho, 1.0 - rho) ** 2
+        reach = max(1e-3, max(map(abs, lam_k[1:])) * eps2 / 2.0)
+        xi_t = lam[0] * rho * rho + sign * share * reach
+        dxi = xi_t - rho * rho * lam[0]
+        batches = solver.spectral_seeds(K, xi_t, rho)
+        if not np.any(lam[1:] * dxi > 0.0):
+            assert batches == [[0]]
+            return
+        assert len(batches) == 2
+        assert sorted(k for batch in batches for k in batch) == list(range(7))
+        # the first batch without the reach rule: the seeds not constant on the grid
+        # whose lambda_k has the sign of dxi, in family order
+        same = [k for k in range(1, 7) if 2 * k % K.m and lam_k[k] * dxi > 0.0]
+        near = [k for k in same if 2.0 * abs(dxi) <= abs(lam_k[k]) * eps2]
+        if near:
+            assert batches[0] == near
+            demoted = [k for k in same if k not in near]
+            assert batches[1][:len(demoted) + 1] == demoted + [0]
+        else:
+            assert batches == [same, [0] + [k for k in range(1, 7) if k not in same]]
 
 
 @pytest.mark.parametrize("order", [[1, 3], [3, 1]])
@@ -427,23 +470,26 @@ def count_certificates(monkeypatch):
 
 class TestLazyCertificate:
     def test_scan_reads_no_certificate(self, pot_a2, count_certificates):
-        # the scan's reference config: 7 solves, 16 converged candidates
+        # the scan's reference config: 7 solves, 13 converged candidates
         scan = transition.scan_transition(pot_a2, RHO, (0.005, 0.01, 0.02), m=256)
         assert all(p.converged for p in scan.points)
         assert count_certificates == []
 
     def test_one_certificate_per_converged_candidate(self, pot_a2, kernel256,
                                                      count_certificates):
-        res = lg.solve_entropy(pot_a2, XI_CURVE + 0.02, RHO, m=256, kernel=kernel256)
-        assert count_certificates == []
-        certs = [c["certificate"] for c in res.candidates if c["converged"]]
-        assert len(certs) == 4  # seeds 2, 3, 4 and 6
-        # the winner and its own candidate entry share one certificate
-        assert sum(c is res.certificate for c in certs) == 1
-        first = [dict(c) for c in certs]
-        assert res.certificate["morse_index"] == 0
-        assert [dict(c) for c in certs] == first
-        assert len(count_certificates) == len(certs)
+        # at +0.02 seed 3 alone, the one seed within reach; at +0.01 seeds 2, 3, 4 and 6
+        for dxi, n in ((0.02, 1), (0.01, 4)):
+            count_certificates.clear()
+            res = lg.solve_entropy(pot_a2, XI_CURVE + dxi, RHO, m=256, kernel=kernel256)
+            assert count_certificates == []
+            certs = [c["certificate"] for c in res.candidates if c["converged"]]
+            assert len(certs) == n
+            # the winner and its own candidate entry share one certificate
+            assert sum(c is res.certificate for c in certs) == 1
+            first = [dict(c) for c in certs]
+            assert res.certificate["morse_index"] == 0
+            assert [dict(c) for c in certs] == first
+            assert len(count_certificates) == len(certs)
 
     @pytest.mark.parametrize("m", [64, 129, 256])
     @pytest.mark.parametrize("dxi,k", [(-0.02, 1), (0.0, 0), (0.02, 3)])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 import latgas as lg
-from latgas import cli, transition
+from latgas import cli, solver, transition
 from latgas.potential import KernelMatrix
 
 RHO = 0.23
@@ -201,6 +201,22 @@ class TestScanTransition:
         assert all(p.branch == "unimodal" for p in scan_023.points[:mid])
         assert all(p.branch.startswith("multimodal") for p in scan_023.points[mid + 1:])
 
+    def test_seeds_of_the_reference_scan(self, pot_a2, monkeypatch):
+        # the seeds each point's solve runs: seed 5 is out of reach below the curve,
+        # and seeds 2, 4 and 6 at +0.02, so neither runs; 13 seeds in all
+        solve, runs = transition.solve_entropy, []
+
+        def recorded(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            runs.append([c["seed"] for c in res.candidates])
+            return res
+
+        monkeypatch.setattr(transition, "solve_entropy", recorded)
+        scan = lg.scan_transition(pot_a2, RHO, [0.005, 0.01, 0.02], m=256)
+        assert all(p.converged for p in scan.points)
+        assert runs == [[1], [1], [1], [0], [2, 3, 4, 6], [2, 3, 4, 6], [3]]
+        assert sum(map(len, runs)) == 13
+
     @pytest.mark.parametrize("rho", [0.18, 0.20, 0.23, 0.25])
     def test_closed_form_slopes(self, pot_a2, rho):
         # the spectrum's one-sided slopes agree with the extrapolated secants,
@@ -277,6 +293,15 @@ class TestScanTransition:
         if probe.interior:
             left, right, _, _ = transition.spectral_slopes(lg.cell_kernel(pot, 256), rho)
             assert math.isfinite(left) and math.isfinite(right)
+
+    def test_grid_above_the_cap_refused(self, pot_a2, monkeypatch):
+        # the cap is checked before the scan builds its kernel row and spectrum
+        def no_kernel(pot, m):
+            raise AssertionError(f"an m = {m} kernel was built")
+
+        monkeypatch.setattr(transition, "cell_kernel", no_kernel)
+        with pytest.raises(ValueError, match=f"at most {solver.GRID_CAP} grid cells"):
+            lg.scan_transition(pot_a2, RHO, [0.01], m=solver.GRID_CAP + 1)
 
     def test_empty_deltas_refused(self, pot_a2):
         with pytest.raises(ValueError):
