@@ -10,8 +10,8 @@ round(rho n), which must be one of them, proposes occupied <-> empty swaps and
 accepts exactly when the energy stays in its window; symmetric proposals with
 indicator acceptance make the stationary law uniform on the constrained slice.
 Each visited state is aligned once, by a correlation that each accepted swap
-updates in O(n) without an FFT.  The move loop runs on Python scalars, with
-swap indices drawn in blocks, each by one broadcast `Generator.integers` call.
+updates in O(n) without an FFT.  Only the enumeration builds the dense pair
+table; a chain reads the row stored twice over and holds O(n) memory.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .functional import OccupancyProfile, block_average, make_profile
 from .potential import Potential, pair_row
 
 ENUM_CAP = 24
-SAMPLE_CAP = 4096  # the sampler's dense n x n pair table takes 8 n^2 bytes, 128 MB at the cap
+SAMPLE_CAP = 4096  # bounds time, not memory: 30 s to refuse an unreachable window at the cap
 BURN_IN = 0.2  # fraction of each chain discarded before averaging
 ANNEAL_TRIES_PER_SITE = 500  # proposals per site of the greedy walk and of each restart
 ANNEAL_RESTARTS = 2  # random restarts, with sideways moves, after the greedy walk stalls
@@ -184,19 +184,24 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     unaligned chain means stay sharp), and chain means are re-aligned onto
     each other before merging.  The mean profile is finally rolled so its
     peak sits at the center cell.  A chain that meets n rejections in a row
-    sets the stats' stuck_warning.  An n above SAMPLE_CAP is refused before
-    any table is built; a chain that cannot be annealed into the window
-    raises UnreachableWindow.
+    sets the stats' stuck_warning.  Every argument is checked before the pair
+    row is built; a chain that cannot be annealed into the window raises
+    UnreachableWindow.
     """
     if n > SAMPLE_CAP:
         raise ValueError(f"the sampler takes at most {SAMPLE_CAP} sites, got n = {n}")
     if steps < 1 or chains < 1:
         raise ValueError("steps and chains must be at least 1")
+    if track_states and n > 60:
+        raise ValueError("state tracking is meant for tiny lattices (n <= 60)")
+    if track_every < 1:
+        raise ValueError("track_every must be at least 1")
     particles, lo, hi = window.bounds(n)
     k = int(round(window.rho * n))
     if k not in particles or not 0 < k < n:
         raise ValueError(f"round(rho n) = {k} is not a particle number of the window in (0, n)")
-    psi = toeplitz(pair_row(pot, n))
+    # a read-only view of the symmetric row stored twice over, rr: psi[j] is rr[n - j:2n - j]
+    psi = np.lib.stride_tricks.sliding_window_view(np.tile(pair_row(pot, n), 2), n)[n:0:-1]
     row = psi[0].tolist()  # psi[i, j] = row[abs(i - j)]
     diag = row[0]
     width = max(3, n // 16)
@@ -211,10 +216,6 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
         # G[z] = mean(smoothed[z - width + 1 .. z]); corr[s] = sum of G2[y + s], y occupied
         G2 = np.tile(np.roll(_smooth_cyclic(smoothed, width), width - 1), 2)
 
-    if track_states and n > 60:
-        raise ValueError("state tracking is meant for tiny lattices (n <= 60)")
-    if track_every < 1:
-        raise ValueError("track_every must be at least 1")
     state_counts: dict[int, int] | None = {} if track_states else None
 
     chain_accepted, chain_means = [], []
@@ -228,7 +229,7 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
         occ_idx = np.flatnonzero(occ)  # kept in step with occ_list for _fold
         occ_list, emp_list = occ_idx.tolist(), np.flatnonzero(~occ).tolist()
         key = sum(1 << i for i in occ_list)  # the state's bit mask, for state_counts
-        corr = G2[occ_idx[:, None] + np.arange(n)].sum(axis=0) if G2 is not None else None
+        corr = sum((G2[y:y + n] for y in occ_list), np.zeros(n)) if G2 is not None else None
         chain_profile = np.zeros(n)
         dwell = 0  # post-burn steps the current state has held
         rejects_in_row = 0
@@ -321,7 +322,7 @@ def _anneal_into_window(psi: np.ndarray, k: int, lo: float, hi: float,
     center = 0.5 * (lo + hi)
     for restart in range(ANNEAL_RESTARTS + 1):
         occ = _initial_config(n, k, None if restart else init_values, rng)
-        s = psi @ occ.astype(float)
+        s = sum((psi[y] for y in np.flatnonzero(occ)), np.zeros(n))  # psi @ occ, by rows
         E = float(occ.astype(float) @ s)
         tries = 0
         while not lo < E < hi and tries < ANNEAL_TRIES_PER_SITE * n:

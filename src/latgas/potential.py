@@ -146,7 +146,9 @@ class KernelMatrix:
         P = self.row[np.abs(i[:, None] + i + 1 - self.m)]
         P[:, self.m - h:] = 0.0
         T, n = toeplitz(self.row[:h]), self.m - h
-        blocks = (T + P, (T - P)[:n, :n], np.where(i < n, 2.0, 1.0))
+        even = T + P
+        T -= P  # in place: three h x h arrays at the peak, not four
+        blocks = (even, T[:n, :n], np.where(i < n, 2.0, 1.0))
         for b in blocks:
             b.flags.writeable = False
         return blocks

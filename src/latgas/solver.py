@@ -55,8 +55,8 @@ NOISE_FLOOR = 1e-6
 PEAK_TIE_EPS = 1e-12
 STALL_STREAK, STALL_HALVINGS, STALL_GAP = 4, 15, 1e-3
 # KernelMatrix.folded holds two dense h x h blocks, h = ceil(m/2), of 8 h^2 bytes
-# each: 34 MB at the cap, 20 GB at m = 100001.  Their build and the Newton
-# Jacobian take about three more, so a solve at the cap peaks near 170 MB.
+# each: 34 MB at the cap, 20 GB at m = 100001.  Their build, like the Newton
+# Jacobian, takes one more: a solve at the cap traces 101 MB, 168 MB with certificates.
 GRID_CAP = 4096
 _BUMP_MODES = range(1, 7)  # the k of the k-bump seeds
 

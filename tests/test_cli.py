@@ -213,11 +213,11 @@ class TestSampleAndEnumerate:
         assert "internal error: RuntimeError: not the anneal" in capsys.readouterr().err
 
     def test_sample_above_the_cap_refused(self, cfg, tmp_path, capsys, monkeypatch):
-        # the cap is checked before the dense n x n table, which must not be built
-        def no_table(row):
-            raise AssertionError(f"a {len(row)}-site pair table was built")
+        # the cap is checked before the pair row, which must not be built
+        def no_row(pot, n):
+            raise AssertionError(f"a {n}-site pair row was built")
 
-        monkeypatch.setattr(ensemble, "toeplitz", no_table)
+        monkeypatch.setattr(ensemble, "pair_row", no_row)
         rc = run(["sample", "--config", cfg, "--n", str(ensemble.SAMPLE_CAP + 1),
                   "--steps", "10", "--out", str(tmp_path / "o")])
         assert rc == 3

@@ -13,6 +13,8 @@ from scipy.linalg import toeplitz
 import latgas as lg
 from latgas import cli, ensemble
 
+from conftest import POTENTIALS, traced_peak_mb
+
 RHO = 0.23
 XI_CURVE = 7.0 * RHO * RHO
 
@@ -301,6 +303,59 @@ class TestMcmc:
         with pytest.raises(ValueError, match="track_every"):
             lg.mcmc_sample(8, pot_a2, window, steps=100, chains=1, rng_seed=99,
                            track_states=True, track_every=0)
+
+    @pytest.mark.parametrize("n,rho,kw,message", [
+        (ensemble.SAMPLE_CAP + 1, RHO, {}, "at most"),
+        (1, RHO, {}, "at least 2"),
+        (64, RHO, dict(steps=0), "at least 1"),
+        (64, RHO, dict(chains=0), "at least 1"),
+        (61, RHO, dict(track_states=True), "tiny lattices"),
+        (64, RHO, dict(track_every=0), "track_every"),
+        (16, 0.26, {}, "particle number"),
+    ])
+    def test_arguments_checked_before_anything_is_built(self, pot_a2, solve_below, monkeypatch,
+                                                        n, rho, kw, message):
+        def built(*args):
+            raise AssertionError("built before the arguments were checked")
+
+        monkeypatch.setattr(ensemble, "pair_row", built)
+        monkeypatch.setattr(ensemble, "block_average", built)
+        args = dict(steps=10, chains=1, rng_seed=1, init=solve_below.profile) | kw
+        with pytest.raises(ValueError, match=message):
+            lg.mcmc_sample(n, pot_a2, lg.EnsembleWindow(xi=0.4, rho=rho, delta=0.001), **args)
+
+    def test_chain_memory_is_linear_in_n(self, pot_a2, solve_above):
+        # at the cap a dense pair table alone takes 134 MB, a k x n gather 62 MB
+        window = lg.EnsembleWindow(xi=XI_CURVE + 0.02, rho=RHO, delta=0.01)
+        peak = traced_peak_mb(lambda: lg.mcmc_sample(
+            ensemble.SAMPLE_CAP, pot_a2, window, steps=300, chains=1, rng_seed=1,
+            init=solve_above.profile))
+        assert peak < 4.0
+
+    @given(POTENTIALS, st.integers(2, 64), st.data())
+    def test_the_doubled_row_reads_the_table(self, pot, n, data):
+        # row j of the table is the view rr[n - j:2n - j]; the anneal's field and
+        # energy, summed over the occupied rows, are the dense products
+        row = lg.potential.pair_row(pot, n)
+        rr, psi = np.tile(row, 2), toeplitz(row)
+        assert all(np.array_equal(rr[n - j:2 * n - j], psi[j]) for j in range(n))
+        # mcmc_sample's table: those rows as one read-only view, no n x n array
+        view = np.lib.stride_tricks.sliding_window_view(rr, n)[n:0:-1]
+        assert np.array_equal(view, psi) and np.shares_memory(view, rr)
+        k = data.draw(st.integers(1, n - 1))
+        target = np.zeros(n)
+        target[data.draw(st.permutations(range(n)))[:k]] = 1.0
+        # the walk starts from the block of k sites, outside a window around the
+        # energy e of the drawn configuration unless the two energies are equal
+        block = (np.arange(n) < k).astype(float)
+        e = target @ psi @ target
+        half = data.draw(st.floats(0.05, 0.5)) * abs(e - block @ psi @ block) + 1e-9 * (abs(e) + 1)
+        rng = np.random.Generator(np.random.Philox(data.draw(st.integers(0, 2 ** 32))))
+        occ, s, E = ensemble._anneal_into_window(view, k, e - half, e + half, block, rng)
+        x = occ.astype(float)
+        scale = k * np.abs(row).max()
+        np.testing.assert_allclose(s, psi @ x, rtol=1e-12, atol=1e-12 * scale)
+        assert E == pytest.approx(x @ psi @ x, rel=1e-12, abs=1e-12 * k * scale)
 
     def test_density_window_guard(self, pot_a2):
         with pytest.raises(ValueError):

@@ -10,6 +10,8 @@ from scipy.linalg import toeplitz
 import latgas as lg
 from latgas import potential
 
+from conftest import POTENTIALS, traced_peak_mb
+
 
 def quad_lambda(pot):
     """Independent quadrature of the integrated interaction int_0^1 psi (d = 1)."""
@@ -94,18 +96,6 @@ class TestIntegratedInteraction:
             assert lam == pytest.approx(exact, rel=1e-14)
 
 
-# all three potential kinds, tabulated knots on a 1/64 grid
-POTENTIALS = st.one_of(
-    st.builds(lg.Potential.power_plateau, st.floats(0.01, 0.99), st.floats(0.01, 100.0)),
-    st.builds(lg.Potential.constant, st.floats(-100.0, 100.0)),
-    st.builds(lg.Potential.tabulated,
-              st.lists(st.integers(0, 64), min_size=2, max_size=6, unique=True).flatmap(
-                  lambda ks: st.lists(st.floats(-10.0, 10.0), min_size=len(ks),
-                                      max_size=len(ks)).map(
-                      lambda vs: [(k / 64, v) for k, v in zip(sorted(ks), vs)]))),
-)
-
-
 class TestCellKernel:
     def test_pure_constant_entries(self):
         K = lg.cell_kernel(lg.Potential.constant(2.5), 16)
@@ -135,6 +125,13 @@ class TestCellKernel:
         # which the folded blocks and the rfft spectral radius rely on
         row = potential.kernel_row(pot, m)
         assert np.array_equal(row[1:], row[:0:-1])
+
+    def test_folded_build_peak(self, pot_a2):
+        # the two h x h blocks are built with one more h x h array alive at most
+        K = potential.KernelMatrix(m=2048, row=potential.kernel_row(pot_a2, 2048))
+        peak = traced_peak_mb(lambda: K.folded)
+        kept = sum(b.nbytes if b.base is None else b.base.nbytes for b in K.folded) / 1e6
+        assert peak <= 1.6 * kept
 
     def test_refinement_consistency(self, pot_a2):
         r1 = toeplitz(lg.cell_kernel(pot_a2, 64).row).mean(axis=1)
