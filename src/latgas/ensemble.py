@@ -10,8 +10,11 @@ round(rho n), which must be one of them, proposes occupied <-> empty swaps and
 accepts exactly when the energy stays in its window; symmetric proposals with
 indicator acceptance make the stationary law uniform on the constrained slice.
 Each visited state is aligned once, by a correlation that each accepted swap
-updates in O(n) without an FFT.  Only the enumeration builds the dense pair
-table; a chain reads the row stored twice over and holds O(n) memory.
+updates in O(n) without an FFT, and added at its best shift into a profile of
+2n cells that is folded once per chain; without a template a chain sums each
+site's occupancy time, in O(1) per accepted swap.  Only the enumeration builds
+the dense pair table; a chain reads the row stored twice over and holds O(n)
+memory.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .functional import OccupancyProfile, block_average, make_profile
 from .potential import Potential, pair_row
 
 ENUM_CAP = 24
-SAMPLE_CAP = 4096  # bounds time, not memory: 30 s to refuse an unreachable window at the cap
+SAMPLE_CAP = 4096  # bounds time, not memory: 8 s to refuse an unreachable window at the cap
 BURN_IN = 0.2  # fraction of each chain discarded before averaging
 ANNEAL_TRIES_PER_SITE = 500  # proposals per site of the greedy walk and of each restart
 ANNEAL_RESTARTS = 2  # random restarts, with sideways moves, after the greedy walk stalls
@@ -143,19 +146,22 @@ def _aligned(values: np.ndarray, width: int, spectrum: np.ndarray) -> np.ndarray
     return np.roll(values, int(np.argmax(corr)))
 
 
-def _fold(profile: np.ndarray, occ_idx: np.ndarray, dwell: int, corr: np.ndarray | None,
-          width: int, spectrum: np.ndarray | None) -> None:
-    """Add dwell copies of the state occupying occ_idx to profile, aligned by argmax corr."""
-    if corr is None:
-        profile[occ_idx] += dwell
-        return
-    shift = int(np.argmax(corr))
-    if np.count_nonzero(corr >= (1.0 - TIE_MARGIN) * corr[shift]) > 1:  # too close to call
-        occ = np.zeros(profile.size)
+def _fold(P2: np.ndarray, occ_idx: np.ndarray, dwell: int, corr: np.ndarray, width: int,
+          spectrum: np.ndarray) -> None:
+    """Add dwell copies of the state occupying occ_idx, aligned by argmax corr, to the
+    doubled profile P2, whose cell z is P2[z] + P2[n + z]."""
+    n = corr.size
+    shift = corr.argmax()
+    best = corr.item(shift)
+    corr[shift] = -math.inf  # read the runner-up, then put the best back
+    runner_up = corr.item(corr.argmax())
+    corr[shift] = best
+    if runner_up >= (1.0 - TIE_MARGIN) * best:  # too close to call
+        occ = np.zeros(n)
         occ[occ_idx] = 1.0
-        profile += dwell * _aligned(occ, width, spectrum)
+        P2[:n] += dwell * _aligned(occ, width, spectrum)
     else:
-        profile[occ_idx + (shift - profile.size)] += dwell  # negative indices wrap around
+        P2[shift:shift + n][occ_idx] += dwell
 
 
 def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
@@ -176,13 +182,18 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     are bitwise those of per-proposal calls; the move loop reads Python scalars.
     Each visited state is aligned once and added with its dwell count.  As
     smoothing is linear, an accepted swap moves that correlation by two
-    shifted copies of the twice-smoothed template, in O(n); a state whose best
-    shift is within TIE_MARGIN of another takes `_aligned`'s FFT instead.
+    shifted copies of the twice-smoothed template, in O(n).  The best shift is
+    the correlation's argmax and the runner-up its argmax with the best masked;
+    a state whose runner-up is within TIE_MARGIN of the best takes `_aligned`'s
+    FFT instead.  The others add their sites at offset shift into a profile of
+    2n cells, whose halves are summed at chain end, so no index wraps.
     Without a template samples pass through unshifted (aligning featureless
     chains by any max-correlation rule would stack their noise into an
     artificial lump; the collective pattern drifts slowly enough that
-    unaligned chain means stay sharp), and chain means are re-aligned onto
-    each other before merging.  The mean profile is finally rolled so its
+    unaligned chain means stay sharp): the mean is each site's post-burn
+    occupancy time, which an accepted swap i -> j credits to i and starts for
+    j, and chain end credits to the sites still occupied.  Chain means are
+    re-aligned onto each other before merging.  The mean profile is finally rolled so its
     peak sits at the center cell.  A chain that meets n rejections in a row
     sets the stats' stuck_warning.  Every argument is checked before the pair
     row is built; a chain that cannot be annealed into the window raises
@@ -229,8 +240,14 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
         occ_idx = np.flatnonzero(occ)  # kept in step with occ_list for _fold
         occ_list, emp_list = occ_idx.tolist(), np.flatnonzero(~occ).tolist()
         key = sum(1 << i for i in occ_list)  # the state's bit mask, for state_counts
-        corr = sum((G2[y:y + n] for y in occ_list), np.zeros(n)) if G2 is not None else None
-        chain_profile = np.zeros(n)
+        if G2 is not None:
+            corr = sum((G2[y:y + n] for y in occ_list), np.zeros(n))
+            P2 = np.zeros(2 * n)  # the aligned profile, doubled so that shifts never wrap
+        else:
+            corr = None
+            # held[y]: post-burn steps that ended with y occupied, credited when y is
+            # vacated; since[y]: the step that last occupied y (0 from the start)
+            since, held = [0] * n, [0] * n
         dwell = 0  # post-burn steps the current state has held
         rejects_in_row = 0
         for t0 in range(0, steps, DRAW_CHUNK):
@@ -240,15 +257,19 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
                 j = emp_list[b]
                 E_new = E + (-2.0 * s.item(i) + diag + 2.0 * (s.item(j) - row[abs(i - j)]) + diag)
                 if lo < E_new < hi:
-                    if dwell:
-                        _fold(chain_profile, occ_idx, dwell, corr, width, template)
-                        dwell = 0
+                    if corr is None:
+                        if t > burn:
+                            held[i] += t - max(since[i], burn)
+                        since[j] = t
+                    else:
+                        if dwell:
+                            _fold(P2, occ_idx, dwell, corr, width, template)
+                            dwell = 0
+                        corr += G2[j:j + n]
+                        corr -= G2[i:i + n]
                     occ_list[a] = occ_idx[a] = j
                     emp_list[b] = i
                     s += psi[j] - psi[i]
-                    if corr is not None:
-                        corr += G2[j:j + n]
-                        corr -= G2[i:i + n]
                     if state_counts is not None:
                         key += (1 << j) - (1 << i)
                     E = E_new
@@ -266,7 +287,13 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
                     e_max = max(e_max, e_density)
                     if state_counts is not None and (t - burn) % track_every == 0:
                         state_counts[key] = state_counts.get(key, 0) + 1
-        _fold(chain_profile, occ_idx, dwell, corr, width, template)
+        if corr is None:
+            for y in occ_list:
+                held[y] += steps - max(since[y], burn)
+            chain_profile = np.array(held, dtype=float)
+        else:
+            _fold(P2, occ_idx, dwell, corr, width, template)
+            chain_profile = P2[:n] + P2[n:]
         chain_means.append(chain_profile / (steps - burn))
         chain_accepted.append(accepted)
 
@@ -313,7 +340,8 @@ def _anneal_into_window(psi: np.ndarray, k: int, lo: float, hi: float,
     Every walk starts from `_initial_config`: the first from the init profile,
     a restart from a random configuration.  The first walk takes the best of a
     batch of 32 random swaps when it brings the energy closer to the window
-    centre.  After ANNEAL_TRIES_PER_SITE * n proposals outside the window it
+    centre; the batch is drawn by one broadcast call, as the sampler draws,
+    and judged at once.  After ANNEAL_TRIES_PER_SITE * n proposals outside the window it
     starts again, up to ANNEAL_RESTARTS times, now also taking a sideways move
     (the batch's last swap) when no swap of the batch is closer; then it
     raises UnreachableWindow.
@@ -326,20 +354,17 @@ def _anneal_into_window(psi: np.ndarray, k: int, lo: float, hi: float,
         E = float(occ.astype(float) @ s)
         tries = 0
         while not lo < E < hi and tries < ANNEAL_TRIES_PER_SITE * n:
-            occ_idx = np.flatnonzero(occ)
-            emp_idx = np.flatnonzero(~occ)
-            best = None
-            for _ in range(32):
-                i = occ_idx[rng.integers(occ_idx.size)]
-                j = emp_idx[rng.integers(emp_idx.size)]
-                dE = -2.0 * s[i] + psi[i, i] + 2.0 * (s[j] - psi[i, j]) + psi[j, j]
-                gain = abs(E + dE - center) - abs(E - center)
-                if best is None or gain < best[0]:
-                    best = (gain, i, j, dE)
-                tries += 1
-            if best[0] < 0.0:
-                _, i, j, dE = best
-            elif not restart:
+            a, b = rng.integers(0, (k, n - k), size=(32, 2)).T
+            I, J = np.flatnonzero(occ)[a], np.flatnonzero(~occ)[b]
+            dE = -2.0 * s[I] + psi[I, I] + 2.0 * (s[J] - psi[I, J]) + psi[J, J]
+            gain = np.abs(E + dE - center) - abs(E - center)
+            tries += 32
+            best = gain.argmin()  # the first of the batch's smallest gains
+            if gain[best] < 0.0:
+                i, j, dE = I[best], J[best], dE[best]
+            elif restart:
+                i, j, dE = I[-1], J[-1], dE[-1]  # sideways: the batch's last swap
+            else:
                 continue  # batch had no improving move; resample
             occ[i] = False
             occ[j] = True

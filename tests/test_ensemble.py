@@ -120,6 +120,45 @@ def reference_sample(n, pot, window, steps, chains, rng_seed, init=None,
                 energy_trace_summary=(e_sum / samples, e_min, e_max))
 
 
+def reference_anneal(psi, k, lo, hi, init_values, rng):
+    """Scalar anneal: each of a batch's 32 tries drawn and judged on its own.
+
+    The oracle for `_anneal_into_window`, which draws and judges the batch at
+    once; same draws, same walk, same (occ, s, E) and the same refusal.
+    """
+    n = psi.shape[0]
+    center = 0.5 * (lo + hi)
+    for restart in range(ensemble.ANNEAL_RESTARTS + 1):
+        occ = ensemble._initial_config(n, k, None if restart else init_values, rng)
+        s = sum((psi[y] for y in np.flatnonzero(occ)), np.zeros(n))
+        E = float(occ.astype(float) @ s)
+        tries = 0
+        while not lo < E < hi and tries < ensemble.ANNEAL_TRIES_PER_SITE * n:
+            occ_idx = np.flatnonzero(occ)
+            emp_idx = np.flatnonzero(~occ)
+            best = None
+            for _ in range(32):
+                i = occ_idx[rng.integers(occ_idx.size)]
+                j = emp_idx[rng.integers(emp_idx.size)]
+                dE = -2.0 * s[i] + psi[i, i] + 2.0 * (s[j] - psi[i, j]) + psi[j, j]
+                gain = abs(E + dE - center) - abs(E - center)
+                if best is None or gain < best[0]:
+                    best = (gain, i, j, dE)
+                tries += 1
+            if best[0] < 0.0:
+                _, i, j, dE = best
+            elif not restart:
+                continue
+            occ[i] = False
+            occ[j] = True
+            s += psi[j] - psi[i]
+            E += dE
+        if lo < E < hi:
+            return occ, s, float(E)
+    raise ensemble.UnreachableWindow(
+        f"could not anneal into the energy window ({lo:.6g}, {hi:.6g}); stuck at {E:.6g}")
+
+
 def assert_same_as_reference(stats, ref):
     np.testing.assert_array_equal(stats.mean_profile.values, ref["mean_profile"])
     assert stats.accepted_moves == ref["accepted_moves"]
@@ -395,6 +434,15 @@ class TestMcmc:
         (8, 4000, 1, False, True),
         (8, 7, 1, False, True),
         (32, 2 * ensemble.DRAW_CHUNK + 7, 2, True, False),  # crosses two draw chunks
+        # without a template each site sums the post-burn steps it was held: chains
+        # of 1, 2, 5 and 7 steps (burn 0, 0, 1, 1); the 1-step chain and both 7-step
+        # chains end on an accepted swap (seed 17)
+        pytest.param(32, 1, 1, False, False, id="1-step-ends-accepted"),
+        (32, 2, 1, False, False),
+        (32, 5, 2, False, False),
+        pytest.param(32, 7, 2, False, False, id="7-steps-end-accepted"),
+        (8, 40, 2, False, True),
+        (8, 4000, 2, False, True),
     ])
     def test_matches_per_step_reference(self, pot_a2, solve_below, n, steps, chains,
                                         with_init, track):
@@ -433,6 +481,40 @@ class TestMcmc:
         assert calls  # one chain: nothing to merge, so every call is a fallback
         ref = reference_sample(32, pot_a2, window, 3000, 1, 17, init=init)
         assert_same_as_reference(stats, ref)
+
+    @given(st.integers(2, 64),
+           st.sampled_from(["drawn", "tie", "below", "at", "above", "constant", "zero"]),
+           st.data())
+    def test_fold_reads_a_tie_as_the_count_did(self, n, case, data):
+        # _fold's runner-up test against the count of shifts within TIE_MARGIN
+        # of the best; the runner-up sits one ulp below, at or one ulp above
+        # the margin, or ties the best exactly
+        corr = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+        if case in ("constant", "zero"):
+            corr[:] = corr[0] if case == "constant" else 0.0
+        elif case != "drawn":
+            best = data.draw(st.floats(1e-300, 1e300))
+            top, other = data.draw(st.permutations(range(n)))[:2]
+            edge = (1.0 - ensemble.TIE_MARGIN) * best
+            corr = np.minimum(corr, 0.5 * edge)
+            corr[top] = best
+            corr[other] = {"tie": best, "below": np.nextafter(edge, -math.inf), "at": edge,
+                           "above": np.nextafter(edge, math.inf)}[case]
+        before = corr.copy()
+        shift = int(np.argmax(corr))
+        tied = np.count_nonzero(corr >= (1.0 - ensemble.TIE_MARGIN) * corr[shift]) > 1
+        occ_idx = np.sort(data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n - 1))])
+        calls = []
+        P2 = np.zeros(2 * n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ensemble, "_aligned", lambda *a: calls.append(a) or np.zeros(n))
+            ensemble._fold(P2, occ_idx, 3, corr, 3, None)
+        assert bool(calls) == tied
+        assert corr.tobytes() == before.tobytes()
+        expected = np.zeros(2 * n)
+        if not tied:
+            expected[occ_idx + shift] = 3.0
+        np.testing.assert_array_equal(P2, expected)
 
     @pytest.mark.parametrize("steps,chunk", [
         (1000, None),  # one block, shorter than a chunk
@@ -484,6 +566,58 @@ class TestMcmc:
         window = lg.EnsembleWindow(xi=XI_CURVE, rho=RHO, delta=0.05)
         with pytest.raises(ValueError, match="at least 1"):
             lg.mcmc_sample(32, pot_a2, window, steps=steps, chains=chains, rng_seed=1)
+
+
+class TestAnneal:
+    """The batched anneal against `reference_anneal`: bitwise the same start or the
+    same refusal, with the generator left in the same state, on the sampler's
+    read-only view of the pair row and on the dense table."""
+
+    @staticmethod
+    def outcome(anneal, psi, k, lo, hi, init_values, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        try:
+            occ, s, E = anneal(psi, k, lo, hi, init_values, rng)
+        except ensemble.UnreachableWindow as refused:
+            return str(refused), bit_state(rng)
+        return (occ.tobytes(), s.tobytes(), E, type(E)), bit_state(rng)
+
+    def assert_same(self, pot, n, window, init_values, seeds):
+        _, lo, hi = window.bounds(n)
+        k = round(window.rho * n)
+        row = lg.potential.pair_row(pot, n)
+        view = np.lib.stride_tricks.sliding_window_view(np.tile(row, 2), n)[n:0:-1]
+        outcomes = []
+        for psi in (view, toeplitz(row)):
+            for seed in seeds:
+                got = self.outcome(ensemble._anneal_into_window, psi, k, lo, hi, init_values, seed)
+                assert got == self.outcome(reference_anneal, psi, k, lo, hi, init_values, seed)
+                outcomes.append(got[0])
+        return outcomes
+
+    @pytest.mark.parametrize("dxi", [-0.02, 0.0, 0.02])
+    @pytest.mark.parametrize("with_init", [True, False])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_greedy_walks(self, pot_a2, solve_below, n, with_init, dxi):
+        init_values = lg.block_average(solve_below.profile.values, n) if with_init else None
+        window = lg.EnsembleWindow(xi=XI_CURVE + dxi, rho=RHO, delta=0.01)
+        self.assert_same(pot_a2, n, window, init_values, range(4))
+
+    def test_restarts_with_sideways_moves(self, pot_a2, monkeypatch):
+        # test_anneal_restarts_where_the_greedy_walk_stalls' window: some walks
+        # stall, and the restarts take sideways moves into the top level
+        walks = []
+        start = ensemble._initial_config
+        monkeypatch.setattr(ensemble, "_initial_config", lambda *a: walks.append(a) or start(*a))
+        window = lg.EnsembleWindow(xi=3.0584, rho=6 / 9, delta=0.5432)
+        outcomes = self.assert_same(pot_a2, 9, window, None, range(60))
+        assert len(walks) > 4 * 60  # four anneals per seed, and some restarted
+        assert all(not isinstance(o, str) for o in outcomes)
+
+    def test_unreachable_window_refused_alike(self, pot_a2):
+        window = lg.EnsembleWindow(xi=100.0, rho=0.25, delta=1e-6)
+        outcomes = self.assert_same(pot_a2, 16, window, None, range(2))
+        assert all(o.startswith("could not anneal") for o in outcomes)
 
 
 def bit_state(rng):
