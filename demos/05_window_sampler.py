@@ -4,7 +4,7 @@
 Samples the microcanonical window just above the transition curve at
 n = 512, seeding the chains with the rounded continuum optimizer, and
 measures the shift-minimized L1 distance between the aligned mean profile
-and the optimizer.  Takes about 8 s: 7.0 to 8.4 s wall in three runs on a
+and the optimizer.  Takes about 5 s: 4.8 to 5.4 s wall in three runs on a
 2-core Xeon with one BLAS thread.
 """
 

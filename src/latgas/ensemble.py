@@ -9,10 +9,10 @@ blocks of its particle numbers).  The sampler fixes the particle number at
 round(rho n), which must be one of them, proposes occupied <-> empty swaps and
 accepts exactly when the energy stays in its window; symmetric proposals with
 indicator acceptance make the stationary law uniform on the constrained slice.
-Each visited state is aligned once, by a correlation that each accepted swap
-updates in O(n) without an FFT, and added at its best shift into a profile of
-2n cells that is folded once per chain; without a template a chain sums each
-site's occupancy time, in O(1) per accepted swap.  Only the enumeration builds
+Each visited state is aligned once, by an integer-valued correlation that each
+accepted swap updates exactly in O(n), and added at its first maximum into a
+profile of 2n cells that is folded once per chain; without a template a chain
+sums each site's occupancy time, in O(1) per accepted swap.  Only the enumeration builds
 the dense pair table; a chain reads the row stored twice over and holds O(n)
 memory.
 """
@@ -33,7 +33,6 @@ SAMPLE_CAP = 4096  # bounds time, not memory: 8 s to refuse an unreachable windo
 BURN_IN = 0.2  # fraction of each chain discarded before averaging
 ANNEAL_TRIES_PER_SITE = 500  # proposals per site of the greedy walk and of each restart
 ANNEAL_RESTARTS = 2  # random restarts, with sideways moves, after the greedy walk stalls
-TIE_MARGIN = 1e-9  # shifts within this fraction of the best correlation defer to the FFT
 DRAW_CHUNK = 4096  # proposals whose swap indices are drawn in one block
 
 
@@ -146,22 +145,11 @@ def _aligned(values: np.ndarray, width: int, spectrum: np.ndarray) -> np.ndarray
     return np.roll(values, int(np.argmax(corr)))
 
 
-def _fold(P2: np.ndarray, occ_idx: np.ndarray, dwell: int, corr: np.ndarray, width: int,
-          spectrum: np.ndarray) -> None:
-    """Add dwell copies of the state occupying occ_idx, aligned by argmax corr, to the
-    doubled profile P2, whose cell z is P2[z] + P2[n + z]."""
-    n = corr.size
+def _fold(P2: np.ndarray, occ_idx: np.ndarray, dwell: int, corr: np.ndarray) -> None:
+    """Add dwell copies of the state occupying occ_idx, at the first maximum of corr, to
+    the doubled profile P2, whose cell z is P2[z] + P2[n + z]."""
     shift = corr.argmax()
-    best = corr.item(shift)
-    corr[shift] = -math.inf  # read the runner-up, then put the best back
-    runner_up = corr.item(corr.argmax())
-    corr[shift] = best
-    if runner_up >= (1.0 - TIE_MARGIN) * best:  # too close to call
-        occ = np.zeros(n)
-        occ[occ_idx] = 1.0
-        P2[:n] += dwell * _aligned(occ, width, spectrum)
-    else:
-        P2[shift:shift + n][occ_idx] += dwell
+    P2[shift:shift + corr.size][occ_idx] += dwell
 
 
 def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
@@ -182,11 +170,12 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     are bitwise those of per-proposal calls; the move loop reads Python scalars.
     Each visited state is aligned once and added with its dwell count.  As
     smoothing is linear, an accepted swap moves that correlation by two
-    shifted copies of the twice-smoothed template, in O(n).  The best shift is
-    the correlation's argmax and the runner-up its argmax with the best masked;
-    a state whose runner-up is within TIE_MARGIN of the best takes `_aligned`'s
-    FFT instead.  The others add their sites at offset shift into a profile of
-    2n cells, whose halves are summed at chain end, so no index wraps.
+    shifted copies of the twice-smoothed template, in O(n).  The template is
+    scaled to integers below 2^52 / n, so every correlation is exact and the
+    first maximum decides the shift, also where shifts tie (a constant
+    template leaves every state unshifted).  A state adds its sites at that
+    offset into a profile of 2n cells, whose halves are summed at chain end,
+    so no index wraps.
     Without a template samples pass through unshifted (aligning featureless
     chains by any max-correlation rule would stack their noise into an
     artificial lump; the collective pattern drifts slowly enough that
@@ -195,9 +184,9 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     j, and chain end credits to the sites still occupied.  Chain means are
     re-aligned onto each other before merging.  The mean profile is finally rolled so its
     peak sits at the center cell.  A chain that meets n rejections in a row
-    sets the stats' stuck_warning.  Every argument is checked before the pair
-    row is built; a chain that cannot be annealed into the window raises
-    UnreachableWindow.
+    sets the stats' stuck_warning.  Every argument, and the init grid, is
+    checked before the pair row is built; a chain that cannot be annealed into
+    the window raises UnreachableWindow.
     """
     if n > SAMPLE_CAP:
         raise ValueError(f"the sampler takes at most {SAMPLE_CAP} sites, got n = {n}")
@@ -211,21 +200,22 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
     k = int(round(window.rho * n))
     if k not in particles or not 0 < k < n:
         raise ValueError(f"round(rho n) = {k} is not a particle number of the window in (0, n)")
+    width = max(3, n // 16)
+    init_values = G2 = None
+    if init is not None:
+        init_values = block_average(init.values, n)
+        smoothed = _smooth_cyclic(init_values, width)
+        # G[z] = mean(smoothed[z - width + 1 .. z]) lies in [0, 1]; scaled to integers so
+        # that a sum of at most n of them stays below 2^53, every correlation
+        # corr[s] = sum of G2[y + s], y occupied, is exact however it is summed
+        G = np.roll(_smooth_cyclic(smoothed, width), width - 1)
+        G2 = np.tile(np.rint(G * 2.0 ** (52 - int(n).bit_length())), 2)
     # a read-only view of the symmetric row stored twice over, rr: psi[j] is rr[n - j:2n - j]
     psi = np.lib.stride_tricks.sliding_window_view(np.tile(pair_row(pot, n), 2), n)[n:0:-1]
     row = psi[0].tolist()  # psi[i, j] = row[abs(i - j)]
     diag = row[0]
-    width = max(3, n // 16)
     burn = int(steps * BURN_IN)
     children = np.random.SeedSequence(rng_seed).spawn(chains)
-
-    init_values = template = G2 = None
-    if init is not None:
-        init_values = block_average(init.values, n)
-        smoothed = _smooth_cyclic(init_values, width)
-        template = np.fft.rfft(smoothed)
-        # G[z] = mean(smoothed[z - width + 1 .. z]); corr[s] = sum of G2[y + s], y occupied
-        G2 = np.tile(np.roll(_smooth_cyclic(smoothed, width), width - 1), 2)
 
     state_counts: dict[int, int] | None = {} if track_states else None
 
@@ -263,7 +253,7 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
                         since[j] = t
                     else:
                         if dwell:
-                            _fold(P2, occ_idx, dwell, corr, width, template)
+                            _fold(P2, occ_idx, dwell, corr)
                             dwell = 0
                         corr += G2[j:j + n]
                         corr -= G2[i:i + n]
@@ -292,7 +282,7 @@ def mcmc_sample(n: int, pot: Potential, window: EnsembleWindow, steps: int,
                 held[y] += steps - max(since[y], burn)
             chain_profile = np.array(held, dtype=float)
         else:
-            _fold(P2, occ_idx, dwell, corr, width, template)
+            _fold(P2, occ_idx, dwell, corr)
             chain_profile = P2[:n] + P2[n:]
         chain_means.append(chain_profile / (steps - burn))
         chain_accepted.append(accepted)

@@ -132,6 +132,8 @@ def block_average(values: np.ndarray, m_new: int) -> np.ndarray:
 
     The grids must be nested: one size must divide the other.
     """
+    if m_new < 1:
+        raise ValueError(f"a grid needs at least one cell, got {m_new}")
     vals = np.asarray(values, dtype=float)
     m = vals.size
     if m_new == m:

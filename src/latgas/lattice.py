@@ -29,11 +29,12 @@ class LatticeConfig:
 def make_config(n: int, occupancy) -> LatticeConfig:
     if n < 1:
         raise ValueError("the number of sites must be positive")
-    occ = np.asarray(occupancy).astype(np.uint8).ravel()
-    if occ.size != n:
-        raise ValueError(f"occupancy length {occ.size} does not match n = {n}")
-    if np.any(occ > 1):
+    values = np.asarray(occupancy).ravel()
+    if values.size != n:
+        raise ValueError(f"occupancy length {values.size} does not match n = {n}")
+    if not np.all((values == 0) | (values == 1)):
         raise ValueError("occupancy values must be 0 or 1")
+    occ = values.astype(np.uint8)
     occ.flags.writeable = False
     return LatticeConfig(n=n, occupancy=occ)
 

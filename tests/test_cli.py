@@ -194,6 +194,18 @@ class TestSampleAndEnumerate:
         assert stats["chain_acceptance"] == [stats["acceptance_rate"]]  # one chain
         assert (out / "mean_profile.csv").exists()
 
+    def test_sample_from_the_constant_optimizer(self, cfg, tmp_path):
+        # on the curve the optimizer is constant: every shift of the template ties
+        solved = tmp_path / "s"
+        assert run(["solve", "--config", cfg, "--out", str(solved)]) == 0
+        values = [float(line.split(",")[1])
+                  for line in (solved / "profile.csv").read_text().splitlines()[1:]]
+        assert len(set(values)) == 1
+        rc = run(["sample", "--config", cfg, "--n", "64", "--steps", "2000", "--chains", "2",
+                  "--init-profile", str(solved / "profile.csv"), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert (tmp_path / "o" / "mean_profile.csv").exists()
+
     def test_sample_empty_window_is_infeasible(self, cfg, tmp_path, capsys):
         # no configuration of 5 particles on 20 sites reaches this energy
         rc = run(["sample", "--config", cfg, "--n", "20", "--rho", "0.25", "--xi", "100",

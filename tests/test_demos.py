@@ -1,5 +1,5 @@
 """Smoke runs of demos 01 to 04 (kernel, solver, scan and lattice); no demo writes a
-file.  Demo 05 samples for about 8 s and is left out."""
+file.  Demo 05 samples for about 5 s and is left out."""
 
 import os
 import subprocess

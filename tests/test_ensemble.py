@@ -49,12 +49,29 @@ def slice_configs(n, pot, window):
     return out
 
 
+def integer_template(values, width):
+    """The template G of mcmc_sample's correlation, scaled to integers below 2^52 / n:
+    G[z] is the twice-smoothed values averaged over cells z - width + 1 .. z."""
+    smooth = ensemble._smooth_cyclic
+    G = np.roll(smooth(smooth(values, width), width), width - 1)
+    return np.rint(G * 2.0 ** (52 - values.size.bit_length()))
+
+
+def circulant_of(G):
+    """C[y, s] = G[(y + s) mod n], so that occ @ C correlates occ with G."""
+    n = G.size
+    return G[(np.arange(n)[:, None] + np.arange(n)) % n]
+
+
 def reference_sample(n, pot, window, steps, chains, rng_seed, init=None,
                      track_states=False, track_every=1):
     """Plain per-step sampler: every post-burn step aligns and adds its state.
 
-    Same draws, anneal and merge as mcmc_sample, but no dwell bookkeeping, so
-    it is the oracle for the one-alignment-per-visited-state accumulation.
+    Same draws, anneal and merge as mcmc_sample, but no dwell bookkeeping and
+    no running correlation: each step sums its correlation afresh, by a matrix
+    product, from the integer template, and takes the first maximum.  So it is
+    the oracle for the O(n) update and the one-alignment-per-visited-state
+    accumulation.
     """
     k = int(round(window.rho * n))
     psi = toeplitz(lg.potential.pair_row(pot, n))
@@ -70,6 +87,9 @@ def reference_sample(n, pot, window, steps, chains, rng_seed, init=None,
         return int(np.argmax(corr))
 
     init_values = lg.block_average(init.values, n) if init is not None else None
+    if init_values is not None:
+        # C[y, s] = G[(y + s) mod n]: the state occ correlates with the template as occ @ C
+        C = circulant_of(integer_template(init_values, width))
     state_counts = {} if track_states else None
     accepted = proposals = samples = 0
     e_sum, e_min, e_max = 0.0, math.inf, -math.inf
@@ -100,7 +120,7 @@ def reference_sample(n, pot, window, steps, chains, rng_seed, init=None,
                 stuck = stuck or rejects_in_row >= n
             if t >= burn:
                 occf = occ.astype(float)
-                shift = shift_onto(occf, init_values) if init_values is not None else 0
+                shift = int(np.argmax(occf @ C)) if init_values is not None else 0
                 profile += np.roll(occf, shift)
                 samples += 1
                 e = float(E) / (n * n)
@@ -363,6 +383,15 @@ class TestMcmc:
         with pytest.raises(ValueError, match=message):
             lg.mcmc_sample(n, pot_a2, lg.EnsembleWindow(xi=0.4, rho=rho, delta=0.001), **args)
 
+    def test_init_grid_checked_before_the_pair_row(self, pot_a2, solve_below, monkeypatch):
+        def built(*args):
+            raise AssertionError("built before the init grid was checked")
+
+        monkeypatch.setattr(ensemble, "pair_row", built)
+        with pytest.raises(ValueError, match="not nested"):
+            lg.mcmc_sample(100, pot_a2, lg.EnsembleWindow(xi=XI_CURVE, rho=RHO, delta=0.01),
+                           steps=10, chains=1, rng_seed=1, init=solve_below.profile)
+
     def test_chain_memory_is_linear_in_n(self, pot_a2, solve_above):
         # at the cap a dense pair table alone takes 134 MB, a k x n gather 62 MB
         window = lg.EnsembleWindow(xi=XI_CURVE + 0.02, rho=RHO, delta=0.01)
@@ -425,6 +454,12 @@ class TestMcmc:
         np.testing.assert_array_equal(a.mean_profile.values, b.mean_profile.values)
         assert a.accepted_moves == b.accepted_moves
 
+    def test_numpy_integer_n(self, pot_a2, solve_below):
+        window = lg.EnsembleWindow(xi=XI_CURVE - 0.02, rho=RHO, delta=0.05)
+        a, b = (lg.mcmc_sample(n, pot_a2, window, steps=500, chains=1, rng_seed=11,
+                               init=solve_below.profile) for n in (32, np.int64(32)))
+        np.testing.assert_array_equal(a.mean_profile.values, b.mean_profile.values)
+
     @pytest.mark.parametrize("n,steps,chains,with_init,track", [
         (32, 3000, 1, True, False),
         (32, 3000, 1, False, False),
@@ -468,53 +503,81 @@ class TestMcmc:
         ref = reference_sample(512, pot_a2, window, 3000, 2, 1, init=solve_above.profile)
         assert_same_as_reference(stats, ref)
 
-    def test_tied_shifts_take_the_fft_route(self, pot_a2, solve_below, monkeypatch):
-        # a template of period n/2 ties every shift s with s + n/2, so the running
-        # correlation cannot pick between them and each state must use _aligned
+    def test_tied_shifts_take_the_first_maximum(self, pot_a2, solve_below, monkeypatch):
+        # a template of period n/2 ties every shift s with s + n/2; the exact
+        # correlation takes the first of them, and no state needs an FFT
         init = lg.make_profile(np.tile(lg.block_average(solve_below.profile.values, 16), 2))
         window = lg.EnsembleWindow(xi=XI_CURVE - 0.02, rho=RHO, delta=0.05)
-        calls = []
-        aligned = ensemble._aligned
-        monkeypatch.setattr(ensemble, "_aligned", lambda *a: calls.append(a) or aligned(*a))
+
+        def aligned(*args):
+            raise AssertionError("one chain has nothing to merge, so nothing to align")
+
+        monkeypatch.setattr(ensemble, "_aligned", aligned)
         stats = lg.mcmc_sample(32, pot_a2, window, steps=3000, chains=1, rng_seed=17,
                                init=init)
-        assert calls  # one chain: nothing to merge, so every call is a fallback
         ref = reference_sample(32, pot_a2, window, 3000, 1, 17, init=init)
         assert_same_as_reference(stats, ref)
 
-    @given(st.integers(2, 64),
-           st.sampled_from(["drawn", "tie", "below", "at", "above", "constant", "zero"]),
-           st.data())
-    def test_fold_reads_a_tie_as_the_count_did(self, n, case, data):
-        # _fold's runner-up test against the count of shifts within TIE_MARGIN
-        # of the best; the runner-up sits one ulp below, at or one ulp above
-        # the margin, or ties the best exactly
-        corr = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
-        if case in ("constant", "zero"):
-            corr[:] = corr[0] if case == "constant" else 0.0
-        elif case != "drawn":
-            best = data.draw(st.floats(1e-300, 1e300))
-            top, other = data.draw(st.permutations(range(n)))[:2]
-            edge = (1.0 - ensemble.TIE_MARGIN) * best
-            corr = np.minimum(corr, 0.5 * edge)
-            corr[top] = best
-            corr[other] = {"tie": best, "below": np.nextafter(edge, -math.inf), "at": edge,
-                           "above": np.nextafter(edge, math.inf)}[case]
-        before = corr.copy()
-        shift = int(np.argmax(corr))
-        tied = np.count_nonzero(corr >= (1.0 - ensemble.TIE_MARGIN) * corr[shift]) > 1
-        occ_idx = np.sort(data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n - 1))])
+    def test_constant_template_aligns_only_the_merge(self, pot_a2, solve_on_curve,
+                                                     monkeypatch):
+        # on the curve the optimizer is constant, so every shift ties; each state
+        # stays where it is and the one FFT alignment is the merge of the two chains
+        assert np.ptp(solve_on_curve.profile.values) == 0.0
+        window = lg.EnsembleWindow(xi=XI_CURVE, rho=RHO, delta=0.01)
         calls = []
-        P2 = np.zeros(2 * n)
+        aligned = ensemble._aligned
+        monkeypatch.setattr(ensemble, "_aligned", lambda *a: calls.append(a) or aligned(*a))
+        stats = lg.mcmc_sample(64, pot_a2, window, steps=3000, chains=2, rng_seed=3,
+                               init=solve_on_curve.profile)
+        assert len(calls) == 1
+        ref = reference_sample(64, pot_a2, window, 3000, 2, 3, init=solve_on_curve.profile)
+        assert_same_as_reference(stats, ref)
+
+    @given(st.integers(2, 64), st.data())
+    def test_running_correlation_is_the_direct_sum(self, n, data):
+        # after every swap the O(n) update equals the correlation summed afresh,
+        # in another order, bit for bit: every sum of the integer template is exact
+        values = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        width = max(3, n // 16)
+        C = circulant_of(integer_template(values, width))
+        k = data.draw(st.integers(1, n - 1))
+        # a window that holds every configuration: each proposed swap is accepted
+        window = lg.EnsembleWindow(xi=0.0, rho=k / n, delta=1e6)
+        seen = []
+        fold = ensemble._fold
+
+        def checked(P2, occ_idx, dwell, corr):
+            occ = np.zeros(n)
+            occ[occ_idx] = 1.0
+            assert corr.tobytes() == (occ @ C).tobytes()
+            seen.append(dwell)
+            fold(P2, occ_idx, dwell, corr)
+
+        steps = data.draw(st.integers(1, 60))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ensemble, "_aligned", lambda *a: calls.append(a) or np.zeros(n))
-            ensemble._fold(P2, occ_idx, 3, corr, 3, None)
-        assert bool(calls) == tied
-        assert corr.tobytes() == before.tobytes()
+            mp.setattr(ensemble, "_fold", checked)
+            stats = lg.mcmc_sample(n, lg.Potential.constant(1.0), window, steps=steps,
+                                   chains=1, rng_seed=data.draw(st.integers(0, 2 ** 32)),
+                                   init=lg.make_profile(values))
+        assert stats.acceptance_rate == 1.0
+        assert sum(seen) == steps - int(steps * ensemble.BURN_IN)
+
+    @given(st.integers(2, 64), st.data())
+    def test_fold_adds_at_the_first_maximum(self, n, data):
+        # correlations of a few levels tie often; the state lands at the first
+        # maximum shift, in the doubled profile, and corr is left as it was
+        corr = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                        dtype=float)
+        before = corr.tobytes()
+        occ_idx = np.array(data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n - 1))])
+        dwell = data.draw(st.integers(1, 9))
+        P2 = np.zeros(2 * n)
+        ensemble._fold(P2, occ_idx, dwell, corr)
+        first = min(s for s in range(n) if corr[s] == corr.max())
         expected = np.zeros(2 * n)
-        if not tied:
-            expected[occ_idx + shift] = 3.0
+        expected[occ_idx + first] = dwell
         np.testing.assert_array_equal(P2, expected)
+        assert corr.tobytes() == before
 
     @pytest.mark.parametrize("steps,chunk", [
         (1000, None),  # one block, shorter than a chunk

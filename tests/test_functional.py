@@ -222,6 +222,13 @@ class TestProfilePlumbing:
         with pytest.raises(ValueError):
             lg.block_average(v, 3)
 
+    @pytest.mark.parametrize("m_new", [0, -2])
+    def test_block_average_needs_a_cell(self, m_new):
+        with pytest.raises(ValueError, match="at least one cell"):
+            lg.block_average(np.ones(4), m_new)
+        with pytest.raises(ValueError, match="at least one cell"):
+            lg.profile(lg.make_config(4, [1, 0, 0, 1]), m_new)
+
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12), st.integers(1, 8))
     def test_block_average_inverts_repeat(self, values, q):
         v = np.array(values)

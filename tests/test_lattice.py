@@ -30,6 +30,19 @@ BITS_AND_SHIFT = st.integers(1, 40).flatmap(lambda n: st.tuples(
     st.lists(st.integers(0, 1), min_size=n, max_size=n), st.integers(0, n - 1)))
 
 
+class TestMakeConfig:
+    @pytest.mark.parametrize("occupancy", [[0.5, 1.7, 1], [0, 2, 1], [-1, 0, 1],
+                                           [np.nan, 0, 1]])
+    def test_occupancy_other_than_0_or_1_refused(self, occupancy):
+        # a uint8 cast would make [0.5, 1.7, 1] into [0, 1, 1]
+        with pytest.raises(ValueError, match="0 or 1"):
+            lg.make_config(3, occupancy)
+
+    def test_bools_and_floats_of_0_and_1_kept(self):
+        for occupancy in ([True, False, True], [1.0, 0.0, 1.0]):
+            np.testing.assert_array_equal(lg.make_config(3, occupancy).occupancy, [1, 0, 1])
+
+
 class TestDensities:
     def test_empty(self):
         cfg = lg.make_config(6, np.zeros(6))
